@@ -96,6 +96,9 @@ hotpath:
 # multitenant suite (hybrid vs scr vs rss on zipf, 10^3..10^6 flows)
 # against its committed baseline.  Simulated-time numbers, so the gate
 # uses the default noise-aware tolerances (see docs/MULTITENANT.md).
+# The suite runs twice: on the default columnar hot path (hybrid replays
+# its steering plan as columns) and on the scalar oracle, both gated
+# against the same baseline.
 multitenant:
 	PYTHONPATH=src python -m pytest -x -q tests/placement
 	PYTHONPATH=src python -m repro.cli bench --suite multitenant \
@@ -103,6 +106,11 @@ multitenant:
 	PYTHONPATH=src python -m repro.cli bench \
 		--compare benchmarks/baselines/BENCH_multitenant.json \
 		results/bench-multitenant/BENCH_multitenant.json
+	PYTHONPATH=src python -m repro.cli bench --suite multitenant \
+		--jobs 2 --hotpath scalar --out results/bench-multitenant-scalar
+	PYTHONPATH=src python -m repro.cli bench \
+		--compare benchmarks/baselines/BENCH_multitenant.json \
+		results/bench-multitenant-scalar/BENCH_multitenant.json
 
 # The paper-figure pytest benches (tables/figures with printed series).
 bench-figures:

@@ -10,7 +10,8 @@ numpy cumulative arithmetic, and verifies the speculation afterwards:
   exactly by :func:`_chain`; any backlog beyond the slack window would
   have dropped a packet, so the driver falls back to the event loop;
 * **steering** — eligible engines expose ``steer_batch`` (round-robin row
-  math for SCR, an indirection-table gather for RSS);
+  math for SCR, an indirection-table gather for RSS, the steering plan's
+  core column for hybrid);
 * **core drain** — per-core FIFO service is the same max-plus recurrence
   over (arrival, service) rows.  SCR's history depth reads the global
   steer counter at *service* time, so the first ``k-1`` packets are
@@ -165,23 +166,26 @@ def l2_spill_rows(
     cores: np.ndarray,
     num_cores: int,
     commit: bool = False,
+    touches: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched :meth:`~repro.cpu.cache.L2Model.access` over ``rows``.
 
     ``rows``/``cores`` list packets in service order (per-core order is
     what matters — cores never share L2 state).  Returns per-row
-    ``(miss_frac, spill_ns)`` arrays, zero for invalid packets (which
-    never touch state).  With ``commit=True`` the touched keys are also
-    installed into the model's resident sets, completing the state the
-    scalar loop would have built.  Assumes the model was just reset —
-    the hot path always runs right after ``engine.reset()``.
+    ``(miss_frac, spill_ns)`` arrays, zero for packets that never touch
+    state: invalid ones, or the rows ``touches`` (a whole-trace mask,
+    default ``trace.valid``) leaves out.  With ``commit=True`` the
+    touched keys are also installed into the model's resident sets,
+    completing the state the scalar loop would have built.  Assumes the
+    model was just reset — the hot path always runs right after
+    ``engine.reset()``.
     """
     key_ids = trace.key_ids[rows]
-    valid = trace.valid[rows]
+    touched = (trace.valid if touches is None else touches)[rows]
     miss_frac = np.zeros(len(rows), dtype=np.float64)
     spill = np.zeros(len(rows), dtype=np.float64)
     for core in range(num_cores):
-        sel = np.flatnonzero((cores == core) & valid)
+        sel = np.flatnonzero((cores == core) & touched)
         if len(sel) == 0:
             continue
         ids = key_ids[sel]
@@ -305,7 +309,8 @@ def _run(
     # Pure per-row L2 outcome (per-core first-touch + capacity spill; the
     # service-order restriction of each core equals its FIFO order).
     all_rows = np.arange(n, dtype=np.int64)
-    miss_frac, spill = l2_spill_rows(engine.l2, trace, all_rows, cores, k)
+    miss_frac, spill = l2_spill_rows(engine.l2, trace, all_rows, cores, k,
+                                     touches=engine.state_access_batch(trace))
 
     # History depth: h_j = min(seq_at_service - 1, cap).  In steady state
     # (arrival index >= cap) the steer counter has always advanced past
@@ -368,6 +373,9 @@ def _run(
     last_finish = float(np.max(finishes[pop_rows])) if processed else 0.0
     duration = max(last_finish, stream_end)
 
+    placement = getattr(engine, "placement_summary", None)
+    placement_stats = placement() if placement is not None else None
+
     latency_samples: Optional[List[float]] = None
     latency_hist: Optional[Histogram] = None
     if collect_latency:
@@ -392,6 +400,7 @@ def _run(
         latency_samples_ns=latency_samples,
         latency_histogram=latency_hist,
         fault_stats=None,
+        placement_stats=placement_stats,
     )
 
 

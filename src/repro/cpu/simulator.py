@@ -284,6 +284,9 @@ class PerfEngine(Protocol):
     def reset(self) -> None:
         """Clear all run state (called by :func:`simulate`)."""
 
+    # Engines may define ``bind_trace(perf_trace)``: :func:`simulate`
+    # calls it right after ``reset`` with the trace about to run.
+
     def wire_len(self, pp: PerfPacket) -> int:
         """Bytes this packet occupies on the wire (SCR adds history)."""
 
@@ -295,7 +298,8 @@ class PerfEngine(Protocol):
     # Engines may also opt into the columnar hot path by providing the
     # batched row-math hooks (``columnar_eligible`` / ``wire_len_batch`` /
     # ``dma_len_batch`` / ``steer_batch`` / ``service_rows`` /
-    # ``service_batch`` / ``commit_steer_batch`` / ``history_cap``) —
+    # ``service_batch`` / ``commit_steer_batch`` / ``history_cap`` /
+    # ``state_access_batch``) —
     # ``repro.parallel.base.BaseEngine`` carries conservative defaults,
     # including a scalar ``service_batch`` shim that loops ``service_ns``,
     # so subclasses only override what they can batch.  Engines without
@@ -472,6 +476,9 @@ def simulate(
     if rate_pps <= 0:
         raise ValueError("rate must be positive")
     engine.reset()
+    bind_trace = getattr(engine, "bind_trace", None)
+    if bind_trace is not None:
+        bind_trace(perf_trace)
     from .columnar import resolve_hotpath
 
     if resolve_hotpath(hotpath) == "columnar":

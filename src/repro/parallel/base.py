@@ -114,6 +114,11 @@ class BaseEngine(ABC):
     def pre_enqueue(self, pp: PerfPacket, core: int) -> bool:
         return True
 
+    def bind_trace(self, trace: "PerfTrace") -> None:
+        """The simulator is about to run ``trace`` (called right after
+        :meth:`reset`).  Engines whose steering is a pure function of the
+        trace precompute it here (hybrid's steering plan)."""
+
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """The simulator fault-dropped a packet already steered to ``core``.
 
@@ -161,6 +166,11 @@ class BaseEngine(ABC):
 
     def commit_steer_batch(self, count: int) -> None:
         """Advance steer state as if ``count`` packets were steered."""
+
+    def state_access_batch(self, trace: "PerfTrace") -> np.ndarray:
+        """Rows whose service touches flow state, hence the L2 model
+        (default: every valid row)."""
+        return trace.valid
 
     def history_cap(self) -> int:
         """Upper bound on piggybacked history items per packet (0 for

@@ -27,16 +27,32 @@ to pay for itself, and everyone else is cheapest left sharded.
   one replica entry back to the owning shard — so MLFFR numbers include
   the cost of deciding, not just the steady state.
 
-The engine is deliberately scalar-only (``columnar_eligible`` stays
-False): steering depends on classifier state that mutates per packet, so
-it takes the simulator's scalar event loop, where its decisions are a
-pure function of (seed, packet order) — ``--jobs N`` stays bit-identical.
-See docs/MULTITENANT.md for the model and the ``multitenant`` suite.
+Steering is a pure function of (seed, admitted packet order), so the
+first run on a trace records a :class:`SteeringPlan` — one pass of the
+live classifier and mice map over the whole trace in arrival order —
+and every later MLFFR probe replays it instead of re-deciding:
+
+* the **columnar** hot path reads the plan's columns (core, elephant
+  flag, history depth, stateless flag, migration charge), so hybrid is
+  columnar-eligible like scr/rss;
+* the **scalar** event loop reads plan rows while every earlier packet
+  was admitted; at the first wire/PCIe drop the order diverges from the
+  plan, so the engine rebuilds its live steering state by replaying the
+  admitted prefix and steers live from there (counters and L2 are left
+  alone — they are mid-run).
+
+With a tracer enabled the plan is skipped and every packet steers live.
+The per-packet cost formula (:func:`_service_cost`) is written once and
+evaluated on Python floats by ``service_ns`` and on numpy columns by the
+batch hooks.  See docs/MULTITENANT.md and docs/HOTPATH.md.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.packet_format import ScrPacketCodec
 from ..cpu.simulator import PerfPacket
@@ -48,7 +64,69 @@ from ..state.sharded import ShardedStateMap
 from ..telemetry.events import EV_HISTORY_DEPTH, EV_SPRAY
 from .base import BaseEngine, hash_for_program
 
-__all__ = ["HybridEngine"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cpu.costmodel import CostParams
+    from ..cpu.simulator import PerfTrace
+
+__all__ = ["HybridEngine", "SteeringPlan"]
+
+#: Service kinds of a valid packet (see :func:`_service_cost`).
+_ELEPHANT, _MOUSE, _STATELESS = range(3)
+
+#: One packet's steering decision: (core, elephant, history depth,
+#: stateless, migration ns charged to it, placement events it fired).
+_Decision = Tuple[int, bool, int, bool, float, int]
+
+
+def _service_cost(c: "CostParams", classify_ns: float, kind: int, h,
+                  migration_ns, miss_frac, spill_ns):
+    """A valid packet's service time and counter charges, by kind.
+
+    Pure arithmetic, so it evaluates identically on Python floats (the
+    scalar ``service_ns``) and on numpy columns of one kind (the batch
+    hooks) — the additions happen in the same order either way.  Returns
+    ``(total, compute, transfer, state_accesses, l2_misses, program,
+    history)``.  Every kind pays one sketch update (``classify_ns``) and
+    its migration charge; stateless mice never touch state or L2.
+    """
+    if kind == _ELEPHANT:
+        history = h * c.c2
+        compute = (c.c1 + history) + classify_ns
+        charged = compute + spill_ns
+        total = ((c.d + compute) + spill_ns) + migration_ns
+        return (total, charged, migration_ns, 1,
+                miss_frac + (migration_ns != 0), charged + migration_ns, history)
+    if kind == _MOUSE:
+        compute = (c.c1 + classify_ns) + spill_ns
+        return ((c.d + compute) + migration_ns, compute, migration_ns, 1,
+                miss_frac + (migration_ns != 0), compute + migration_ns, 0.0)
+    compute = c.c1 + classify_ns
+    return ((c.d + compute) + migration_ns, compute, migration_ns, 0,
+            0.0, compute + migration_ns, 0.0)
+
+
+@dataclass(frozen=True)
+class SteeringPlan:
+    """Every packet of one trace steered in arrival order, all admitted.
+
+    Columns are read-only numpy arrays indexed by trace row; ``steps``
+    is their row-major view for the scalar loop, ``(core, route,
+    migration_ns)`` with ``route = (elephant, h, stateless)``.
+    ``summary`` holds the steer-time placement counters after the last
+    row (the steer half of ``placement_summary``).
+    """
+
+    trace: "PerfTrace"
+    core: np.ndarray
+    elephant: np.ndarray
+    h: np.ndarray
+    stateless: np.ndarray
+    migration_ns: np.ndarray
+    migrations: np.ndarray
+    #: was the flow already promoted when this packet reached the wire?
+    promoted_before: np.ndarray
+    steps: List[Tuple[int, Tuple[bool, int, bool], float]]
+    summary: Dict[str, object]
 
 
 class HybridEngine(BaseEngine):
@@ -78,27 +156,38 @@ class HybridEngine(BaseEngine):
         super().__init__(*args, **kwargs)
         self.placement = placement if placement is not None else PlacementSpec()
         self.classifier = ElephantClassifier(self.placement)
+        #: never rewritten (no RSS++-style migration), so per-flow queue
+        #: memos stay valid for the engine's lifetime.
         self.indirection = RssIndirection(
             self.num_cores, table_size=indirection_size
         )
         self.state_shards = state_shards
         self.state_capacity = state_capacity
-        self.mice_state = ShardedStateMap(
-            num_shards=state_shards,
-            capacity=state_capacity,
-            tenant_quota=self.placement.tenant_quota,
-            seed=self.placement.seed,
-        )
+        #: the mice state map, allocated on first live use.
+        self.mice_state: Optional[ShardedStateMap] = None
         self.codec = ScrPacketCodec(
             meta_size=self.program.metadata_size,
             num_slots=self.num_cores,
         )
         self.count_wire_overhead = count_wire_overhead
-        #: elephant stream round-robin cursor and sequence counter (the
-        #: history depth is the *elephant* stream's, not the whole trace's:
-        #: only promoted packets are sprayed and fast-forwarded).
+        #: per-flow memos of the pure placement hashes.
+        self._tenant_memo: Dict[Hashable, int] = {}
+        self._queue_memo: Dict[Hashable, int] = {}
+        #: live steering state: elephant stream round-robin cursor and
+        #: sequence counter (the history depth is the *elephant* stream's,
+        #: not the whole trace's: only promoted packets are sprayed and
+        #: fast-forwarded), and the migration tallies.
         self._rr = 0
         self._eseq = 0
+        self.migrations = 0
+        self.migration_ns_total = 0.0
+        #: the live state above (plus classifier and mice map) no longer
+        #: starts a run: rebuild it before the next live steer.
+        self._live_stale = False
+        self._plan: Optional[SteeringPlan] = None
+        #: this run replays ``_plan``; ``_cursor`` packets steered so far.
+        self._replaying = False
+        self._cursor = 0
         #: per-packet routing decision, recorded at steer time so service
         #: charges match the placement the packet was actually steered
         #: under (placement may move on between steer and service).
@@ -106,36 +195,178 @@ class HybridEngine(BaseEngine):
         #: per-packet migration charge (promotions/demotions this packet
         #: triggered), folded into its service time.
         self._migration_ns: Dict[int, float] = {}
-        #: flow key -> hashed bytes memo for the mice steering hash.
-        self._flow_bytes: Dict[object, bytes] = {}
         self.elephant_packets = 0
         self.mice_packets = 0
         self.stateless_packets = 0
-        self.migrations = 0
-        self.migration_ns_total = 0.0
 
     def reset(self) -> None:
+        """Clear run state.  Live steering state is only marked stale —
+        a run that replays the plan never touches it."""
         super().reset()
-        self.classifier.reset()
-        self.indirection = RssIndirection(
-            self.num_cores, table_size=self.indirection.table_size
-        )
-        self.mice_state = ShardedStateMap(
-            num_shards=self.state_shards,
-            capacity=self.state_capacity,
-            tenant_quota=self.placement.tenant_quota,
-            seed=self.placement.seed,
-        )
-        self._rr = 0
-        self._eseq = 0
+        self._live_stale = True
+        self._replaying = False
+        self._cursor = 0
         self._route = {}
         self._migration_ns = {}
-        self._flow_bytes = {}
         self.elephant_packets = 0
         self.mice_packets = 0
         self.stateless_packets = 0
+
+    def bind_trace(self, trace: "PerfTrace") -> None:
+        """Replay this trace's steering plan in the run about to start,
+        building it on first sight.  Traced runs steer live."""
+        if self.tracer.enabled:
+            return
+        self._plan_for(trace)
+        self._replaying = True
+
+    # -- live steering ------------------------------------------------------
+
+    def _mice(self) -> ShardedStateMap:
+        if self.mice_state is None:
+            self.mice_state = ShardedStateMap(
+                num_shards=self.state_shards,
+                capacity=self.state_capacity,
+                tenant_quota=self.placement.tenant_quota,
+                seed=self.placement.seed,
+            )
+        return self.mice_state
+
+    def _restart_live(self) -> None:
+        """Live steering state back to the start of a run."""
+        self.classifier.reset()
+        if self.mice_state is not None:
+            self.mice_state.reset()
+        self._rr = 0
+        self._eseq = 0
         self.migrations = 0
         self.migration_ns_total = 0.0
+        self._live_stale = False
+
+    def _tenant_of(self, key: Hashable) -> int:
+        tenant = self._tenant_memo.get(key)
+        if tenant is None:
+            tenant = tenant_of(key, self.placement.num_tenants,
+                               self.placement.seed)
+            self._tenant_memo[key] = tenant
+        return tenant
+
+    def _mice_queue(self, key: Hashable) -> int:
+        """Mice steering: the indirection table keyed by the placement
+        layer's seeded FNV over the flow key (symmetric by construction —
+        both directions share the state key), so a flow's packets land
+        with its state shard."""
+        queue = self._queue_memo.get(key)
+        if queue is None:
+            queue = self.indirection.queue_of(
+                _fnv1a(_key_bytes(key), self.placement.seed))
+            self._queue_memo[key] = queue
+        return queue
+
+    def _steer_live(self, pp: PerfPacket) -> _Decision:
+        """Decide one packet's placement from the live classifier and
+        mice map, advancing them; records nothing per packet."""
+        if not pp.valid:
+            # Stateless packets never touch the classifier: plain RSS
+            # on the program's NIC hash.
+            core = self.indirection.queue_of(hash_for_program(self.program, pp))
+            return core, False, 0, True, 0.0, 0
+        promoted, events = self.classifier.observe(pp.key)
+        migration_ns = 0.0
+        for event in events:
+            if event.kind == PROMOTE:
+                # Drain-or-replicate handoff: the flow's entry leaves its
+                # shard and is installed into all k per-core replicas.
+                migration_ns += self.num_cores * self.contention.line_transfer_ns
+                self._mice().delete(event.key, self._tenant_of(event.key))
+            else:
+                # Demotion drains one replica's entry back to the shard.
+                migration_ns += self.contention.line_transfer_ns
+        if events:
+            self.migrations += len(events)
+            self.migration_ns_total += migration_ns
+        if promoted:
+            self._eseq += 1
+            h = min(max(self._eseq - 1, 0), self.num_cores - 1)
+            core = self._rr
+            self._rr = (self._rr + 1) % self.num_cores
+            return core, True, h, False, migration_ns, len(events)
+        # Quota-exhausted tenants degrade to stateless forwarding; the
+        # packet still ships (the drop cause names the *state entry*).
+        resident = self._mice().increment(pp.key, self._tenant_of(pp.key))
+        return (self._mice_queue(pp.key), False, 0, not resident,
+                migration_ns, len(events))
+
+    def _steer_summary(self) -> Dict[str, object]:
+        """Steer-time placement counters of the live state."""
+        clf = self.classifier.snapshot()
+        state = self._mice().stats_snapshot()
+        return {
+            "promotions": clf["promotions"],
+            "demotions": clf["demotions"],
+            "decays": clf["decays"],
+            "promoted_now": clf["promoted_now"],
+            "migrations": self.migrations,
+            "migration_ns_total": self.migration_ns_total,
+            "statemap_entries": state["entries"],
+            "statemap_grow_events": state["grow_events"],
+            "tenant_quota_drops": state["quota_drops"],
+            "tenant_quota_drops_total": sum(state["quota_drops"].values()),
+        }
+
+    # -- the steering plan --------------------------------------------------
+
+    def _plan_for(self, trace: "PerfTrace") -> SteeringPlan:
+        plan = self._plan
+        if plan is None or plan.trace is not trace:
+            with self.hostprof.phase("hybrid.plan"):
+                plan = self._plan = self._build_plan(trace)
+        return plan
+
+    def _build_plan(self, trace: "PerfTrace") -> SteeringPlan:
+        """Steer every row live, in arrival order, recording each decision."""
+        self._restart_live()
+        is_promoted = self.classifier.is_promoted
+        decisions: List[_Decision] = []
+        promoted_before: List[bool] = []
+        for pp in trace.records:
+            promoted_before.append(is_promoted(pp.key))
+            decisions.append(self._steer_live(pp))
+        self._live_stale = True
+        core, elephant, h, stateless, migration_ns, migrations = (
+            zip(*decisions) if decisions else ((),) * 6)
+        columns = dict(
+            core=np.array(core, dtype=np.int64),
+            elephant=np.array(elephant, dtype=bool),
+            h=np.array(h, dtype=np.int64),
+            stateless=np.array(stateless, dtype=bool),
+            migration_ns=np.array(migration_ns, dtype=np.float64),
+            migrations=np.array(migrations, dtype=np.int64),
+            promoted_before=np.array(promoted_before, dtype=bool),
+        )
+        for column in columns.values():
+            column.setflags(write=False)
+        steps = [(d[0], (d[1], d[2], d[3]), d[4]) for d in decisions]
+        return SteeringPlan(trace=trace, steps=steps,
+                            summary=self._steer_summary(), **columns)
+
+    def _go_live(self) -> None:
+        """Admission diverged from the plan after ``_cursor`` packets:
+        rebuild live steering state from that admitted prefix."""
+        self._replaying = False
+        self._restart_live()
+        if self._cursor:
+            with self.hostprof.phase("hybrid.live_replay"):
+                for pp in self._plan.trace.records[:self._cursor]:
+                    self._steer_live(pp)
+
+    def _replay_row(self, pp: PerfPacket) -> bool:
+        """True while ``pp`` is the next plan row (every earlier packet
+        was steered); otherwise leave replay for live steering."""
+        if pp.index == self._cursor:
+            return True
+        self._go_live()
+        return False
 
     # -- protocol -----------------------------------------------------------
 
@@ -145,71 +376,36 @@ class HybridEngine(BaseEngine):
         before ``steer``, so a packet that *causes* a promotion is framed
         under its pre-promotion placement — the sequencer can only tag
         what it already knows."""
-        if self.count_wire_overhead and pp.valid and (
-            self.classifier.is_promoted(pp.key)
-        ):
+        if not (self.count_wire_overhead and pp.valid):
+            return pp.wire_len
+        if self._replaying and self._replay_row(pp):
+            promoted = self._plan.promoted_before[pp.index]
+        else:
+            if self._live_stale:
+                self._restart_live()
+            promoted = self.classifier.is_promoted(pp.key)
+        if promoted:
             return pp.wire_len + self.codec.overhead_bytes
         return pp.wire_len
 
-    def _steer_rss(self, pp: PerfPacket) -> int:
-        """Mice steering: the indirection table keyed by the placement
-        layer's seeded FNV over the flow key (symmetric by construction —
-        both directions share the state key), so a flow's packets land
-        with its state shard.  Stateless/invalid packets fall back to the
-        program's NIC hash."""
-        if not pp.valid:
-            return self.indirection.queue_of(hash_for_program(self.program, pp))
-        data = self._flow_bytes.get(pp.key)
-        if data is None:
-            data = _key_bytes(pp.key)
-            self._flow_bytes[pp.key] = data
-        return self.indirection.queue_of(_fnv1a(data, self.placement.seed))
-
     def steer(self, pp: PerfPacket) -> int:
-        if not pp.valid:
-            # Stateless packets never touch the classifier; plain RSS.
-            self._route[pp.index] = (False, 0, True)
-            return self._steer_rss(pp)
-        promoted, events = self.classifier.observe(pp.key)
-        migration_ns = 0.0
-        for event in events:
-            self.migrations += 1
-            if event.kind == PROMOTE:
-                # Drain-or-replicate handoff: the flow's entry leaves its
-                # shard and is installed into all k per-core replicas.
-                migration_ns += self.num_cores * self.contention.line_transfer_ns
-                tenant = tenant_of(
-                    event.key, self.placement.num_tenants, self.placement.seed
-                )
-                self.mice_state.delete(event.key, tenant)
-            else:
-                # Demotion drains one replica's entry back to the shard.
-                migration_ns += self.contention.line_transfer_ns
-        if migration_ns:
-            self.migration_ns_total += migration_ns
-            self._migration_ns[pp.index] = (
-                self._migration_ns.get(pp.index, 0.0) + migration_ns
-            )
-        if promoted:
-            self._eseq += 1
-            h = min(max(self._eseq - 1, 0), self.num_cores - 1)
-            core = self._rr
-            self._rr = (self._rr + 1) % self.num_cores
-            self._route[pp.index] = (True, h, False)
-            if self.tracer.enabled:
-                self.tracer.emit(EV_SPRAY, core=core, seq=self._eseq,
-                                 index=pp.index)
+        i = pp.index
+        if self._replaying and self._replay_row(pp):
+            self._cursor = i + 1
+            core, route, migration_ns = self._plan.steps[i]
+            self._route[i] = route
+            if migration_ns:
+                self._migration_ns[i] = migration_ns
             return core
-        tenant = tenant_of(pp.key, self.placement.num_tenants,
-                           self.placement.seed)
-        count = self.mice_state.lookup(pp.key, tenant)
-        resident = self.mice_state.update(
-            pp.key, (count or 0) + 1, tenant
-        )
-        # Quota-exhausted tenants degrade to stateless forwarding; the
-        # packet still ships (the drop cause names the *state entry*).
-        self._route[pp.index] = (False, 0, not resident)
-        return self._steer_rss(pp)
+        if self._live_stale:
+            self._restart_live()
+        core, elephant, h, stateless, migration_ns, _ = self._steer_live(pp)
+        self._route[i] = (elephant, h, stateless)
+        if migration_ns:
+            self._migration_ns[i] = migration_ns
+        if elephant and self.tracer.enabled:
+            self.tracer.emit(EV_SPRAY, core=core, seq=self._eseq, index=i)
+        return core
 
     def note_fault_drop(self, core: int, pp: PerfPacket) -> None:
         """A fault stole a steered packet: forget its routing record (any
@@ -228,73 +424,168 @@ class HybridEngine(BaseEngine):
             pp.index, (False, 0, False)
         )
         migration_ns = self._migration_ns.pop(pp.index, 0.0)
-        # The classification path itself is not free: one sketch update
-        # per packet, modeled as a single uncontended atomic.
-        classify_ns = self.contention.atomic_ns
         if elephant:
+            kind = _ELEPHANT
             self.elephant_packets += 1
             if self.tracer.enabled:
                 self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core,
                                  depth=h)
-            history = h * c.c2
-            compute = c.c1 + history + classify_ns
-            miss_frac, spill = self.l2.access(core, pp.key)
-            total = c.d + compute + spill + migration_ns
-            counters.charge_packet(
-                dispatch_ns=c.d,
-                compute_ns=compute + spill,
-                transfer_ns=migration_ns,
-                state_accesses=1,
-                l2_misses=miss_frac + (1.0 if migration_ns else 0.0),
-                program_ns=compute + spill + migration_ns,
-                history_ns=history,
-            )
-            return total
-        self.mice_packets += 1
-        if stateless:
+        elif stateless:
+            kind = _STATELESS
+            self.mice_packets += 1
             self.stateless_packets += 1
-            compute = c.c1 + classify_ns
-            counters.charge_packet(
-                dispatch_ns=c.d,
-                compute_ns=compute,
-                transfer_ns=migration_ns,
-                state_accesses=0,
-                program_ns=compute + migration_ns,
-            )
-            return c.d + compute + migration_ns
-        miss_frac, spill = self.l2.access(core, pp.key)
-        compute = c.c1 + classify_ns + spill
+        else:
+            kind = _MOUSE
+            self.mice_packets += 1
+        miss_frac, spill = ((0.0, 0.0) if kind == _STATELESS
+                            else self.l2.access(core, pp.key))
+        total, compute, transfer, accesses, misses, program, history = (
+            _service_cost(c, self.contention.atomic_ns, kind, h,
+                          migration_ns, miss_frac, spill))
         counters.charge_packet(
             dispatch_ns=c.d,
             compute_ns=compute,
-            transfer_ns=migration_ns,
-            state_accesses=1,
-            l2_misses=miss_frac + (1.0 if migration_ns else 0.0),
-            program_ns=compute + migration_ns,
+            transfer_ns=transfer,
+            state_accesses=accesses,
+            l2_misses=misses,
+            program_ns=program,
+            history_ns=history,
         )
-        return c.d + compute + migration_ns
+        return total
 
-    # ``columnar_eligible`` stays the BaseEngine default (False): steering
-    # reads classifier state that mutates per packet, so the scalar event
-    # loop is the reference and only path (docs/HOTPATH.md fallback rules).
+    # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------
+
+    def columnar_eligible(self) -> bool:
+        """Steering is a plan replay and the history depth is fixed at
+        steer time (``history_cap`` stays 0), so batched replay is exact
+        — except with a tracer, where the plan is skipped."""
+        return not self.tracer.enabled
+
+    def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
+        if not self.count_wire_overhead:
+            return trace.wire_lens
+        promoted = trace.valid & self._plan_for(trace).promoted_before
+        return trace.wire_lens + self.codec.overhead_bytes * promoted
+
+    def steer_batch(self, trace: "PerfTrace") -> np.ndarray:
+        return self._plan_for(trace).core
+
+    def commit_steer_batch(self, count: int) -> None:
+        self._cursor += count
+
+    def state_access_batch(self, trace: "PerfTrace") -> np.ndarray:
+        return trace.valid & ~self._plan_for(trace).stateless
+
+    def _row_kinds(self, trace: "PerfTrace", rows: np.ndarray):
+        """``(kind, mask over rows)`` for each service kind; invalid rows
+        are in no mask."""
+        plan = self._plan_for(trace)
+        valid = trace.valid[rows]
+        elephant = plan.elephant[rows]
+        stateless = plan.stateless[rows]
+        return (
+            (_ELEPHANT, valid & elephant),
+            (_MOUSE, valid & ~elephant & ~stateless),
+            (_STATELESS, valid & ~elephant & stateless),
+        )
+
+    def _batch_cost(self, trace: "PerfTrace", rows: np.ndarray,
+                    miss_frac: np.ndarray, spill_ns: np.ndarray, kinds):
+        """:func:`_service_cost` over ``rows``, one kind at a time;
+        invalid rows cost dispatch plus ``c1`` like in ``service_ns``."""
+        c = self.costs
+        plan = self._plan_for(trace)
+        m = len(rows)
+        total = np.full(m, c.d + c.c1, dtype=np.float64)
+        compute = np.full(m, c.c1, dtype=np.float64)
+        program = compute.copy()
+        transfer = np.zeros(m, dtype=np.float64)
+        misses = np.zeros(m, dtype=np.float64)
+        history = np.zeros(m, dtype=np.float64)
+        accesses = np.zeros(m, dtype=np.int64)
+        for kind, mask in kinds:
+            sel = np.flatnonzero(mask)
+            if not len(sel):
+                continue
+            r = rows[sel]
+            (total[sel], compute[sel], transfer[sel], accesses[sel],
+             misses[sel], program[sel], history[sel]) = _service_cost(
+                c, self.contention.atomic_ns, kind, plan.h[r],
+                plan.migration_ns[r], miss_frac[sel], spill_ns[sel])
+        return total, compute, transfer, accesses, misses, program, history
+
+    def service_rows(
+        self,
+        trace: "PerfTrace",
+        rows: np.ndarray,
+        miss_frac: np.ndarray,
+        spill_ns: np.ndarray,
+        history_items: np.ndarray,
+    ) -> np.ndarray:
+        return self._batch_cost(trace, rows, miss_frac, spill_ns,
+                                self._row_kinds(trace, rows))[0]
+
+    def service_batch(
+        self,
+        trace: "PerfTrace",
+        rows: np.ndarray,
+        cores: np.ndarray,
+        start_ns: np.ndarray,
+        steered_before: np.ndarray,
+    ) -> np.ndarray:
+        from ..cpu.columnar import l2_spill_rows
+
+        miss_frac, spill = l2_spill_rows(
+            self.l2, trace, rows, cores, self.num_cores, commit=True,
+            touches=self.state_access_batch(trace))
+        kinds = self._row_kinds(trace, rows)
+        total, compute, transfer, accesses, misses, program, history = (
+            self._batch_cost(trace, rows, miss_frac, spill, kinds))
+        dispatch = np.full(len(rows), self.costs.d, dtype=np.float64)
+        for core in range(self.num_cores):
+            sel = np.flatnonzero(cores == core)
+            if len(sel) == 0:
+                continue
+            self.counters.cores[core].charge_batch(
+                dispatch_ns=dispatch[sel],
+                compute_ns=compute[sel],
+                transfer_ns=transfer[sel],
+                state_accesses=accesses[sel],
+                l2_misses=misses[sel],
+                program_ns=program[sel],
+                history_ns=history[sel],
+            )
+        counts = [int(np.count_nonzero(mask)) for _, mask in kinds]
+        self.elephant_packets += counts[0]
+        self.mice_packets += counts[1] + counts[2]
+        self.stateless_packets += counts[2]
+        return total
 
     def placement_summary(self) -> dict:
         """Placement/quota counters for ``SimResult.placement_stats``
         (the hook ``simulate`` probes, mirroring ``fault_summary``)."""
-        clf = self.classifier.snapshot()
-        state = self.mice_state.stats_snapshot()
+        if self._replaying and self._cursor == len(self._plan.trace):
+            steer = dict(self._plan.summary)
+            steer["tenant_quota_drops"] = dict(steer["tenant_quota_drops"])
+        else:
+            if self._replaying:
+                # Trailing packets never reached steering.
+                self._go_live()
+            elif self._live_stale:
+                self._restart_live()
+            steer = self._steer_summary()
         return {
-            "promotions": clf["promotions"],
-            "demotions": clf["demotions"],
-            "decays": clf["decays"],
-            "promoted_now": clf["promoted_now"],
-            "migrations": self.migrations,
-            "migration_ns_total": self.migration_ns_total,
+            "promotions": steer["promotions"],
+            "demotions": steer["demotions"],
+            "decays": steer["decays"],
+            "promoted_now": steer["promoted_now"],
+            "migrations": steer["migrations"],
+            "migration_ns_total": steer["migration_ns_total"],
             "elephant_packets": self.elephant_packets,
             "mice_packets": self.mice_packets,
             "stateless_packets": self.stateless_packets,
-            "statemap_entries": state["entries"],
-            "statemap_grow_events": state["grow_events"],
-            "tenant_quota_drops": state["quota_drops"],
-            "tenant_quota_drops_total": sum(state["quota_drops"].values()),
+            "statemap_entries": steer["statemap_entries"],
+            "statemap_grow_events": steer["statemap_grow_events"],
+            "tenant_quota_drops": steer["tenant_quota_drops"],
+            "tenant_quota_drops_total": steer["tenant_quota_drops_total"],
         }

@@ -22,11 +22,13 @@ TECHNIQUES = ("scr", "relaxed_scr", "shared", "rss", "rss++", "hybrid")
 
 #: Techniques whose engines can opt into the columnar hot path
 #: (``columnar_eligible`` may still say no at runtime, e.g. SCR with loss
-#: injection): scr / relaxed_scr (pure round-robin row math) and rss
-#: (static indirection-table gather).  ``shared`` engines serialize on
-#: time-dependent contention and ``rss++`` mutates its steering table
-#: mid-run, so both always run the scalar event loop (docs/HOTPATH.md).
-COLUMNAR_TECHNIQUES = ("scr", "relaxed_scr", "rss")
+#: injection or hybrid with a tracer): scr / relaxed_scr (pure
+#: round-robin row math), rss (static indirection-table gather) and
+#: hybrid (a per-trace steering plan replayed as columns).  ``shared``
+#: engines serialize on time-dependent contention and ``rss++`` mutates
+#: its steering table mid-run, so both always run the scalar event loop
+#: (docs/HOTPATH.md).
+COLUMNAR_TECHNIQUES = ("scr", "relaxed_scr", "rss", "hybrid")
 
 
 def make_engine(

@@ -50,7 +50,9 @@ class CountMinSketch:
 
     Row indexes derive from one 64-bit FNV-1a hash by double hashing
     (``h1 + i·h2``), so the per-packet cost is a single byte-level hash no
-    matter the depth.  Conservative update increments only the minimal
+    matter the depth — and since they are a pure function of (seed, key),
+    each key's indexes are memoized on first sight and survive
+    :meth:`reset`.  Conservative update increments only the minimal
     counters, tightening the classic over-count without breaking the
     "never under-counts" guarantee promotions rely on.
     """
@@ -62,12 +64,17 @@ class CountMinSketch:
         self.depth = depth
         self._seed = seed
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
+        self._index_memo: Dict[bytes, Tuple[int, ...]] = {}
 
-    def _indexes(self, data: bytes) -> List[int]:
-        h = _fnv1a(data, self._seed)
-        h1 = h & 0xFFFFFFFF
-        h2 = ((h >> 32) | 1) & 0xFFFFFFFF
-        return [(h1 + i * h2) % self.width for i in range(self.depth)]
+    def _indexes(self, data: bytes) -> Tuple[int, ...]:
+        idxs = self._index_memo.get(data)
+        if idxs is None:
+            h = _fnv1a(data, self._seed)
+            h1 = h & 0xFFFFFFFF
+            h2 = ((h >> 32) | 1) & 0xFFFFFFFF
+            idxs = tuple((h1 + i * h2) % self.width for i in range(self.depth))
+            self._index_memo[data] = idxs
+        return idxs
 
     def add(self, data: bytes, count: int = 1) -> int:
         """Record ``count`` observations; returns the updated estimate."""
@@ -92,9 +99,7 @@ class CountMinSketch:
                     row[i] = value >> 1
 
     def reset(self) -> None:
-        for row in self._rows:
-            for i in range(len(row)):
-                row[i] = 0
+        self._rows = [[0] * self.width for _ in range(self.depth)]
 
 
 class ElephantClassifier:

@@ -70,27 +70,54 @@ class ShardedStateMap:
         self.num_shards = num_shards
         self.tenant_quota = tenant_quota
         self._seed = seed
-        per_shard = max(1, capacity // num_shards)
+        self._per_shard = max(1, capacity // num_shards)
+        self._slots_per_bucket = slots_per_bucket
+        self._allow_grow = allow_grow
+        #: (tenant, key) -> shard index; a pure function of the seed, so
+        #: it survives :meth:`reset`.
+        self._shard_memo: Dict[Tuple[int, Hashable], int] = {}
         self._shards: List[CuckooHashTable] = [
-            CuckooHashTable(
-                capacity=per_shard,
-                slots_per_bucket=slots_per_bucket,
-                allow_grow=allow_grow,
-                seed=seed ^ (0x9E3779B9 * (i + 1)),
-            )
-            for i in range(num_shards)
+            self._new_shard(i) for i in range(num_shards)
         ]
         #: resident entries per tenant (quota accounting).
         self._tenant_entries: Dict[int, int] = {}
         #: quota-refused inserts per tenant (the per-tenant drop cause).
         self.quota_drops: Dict[int, int] = {}
 
+    def _new_shard(self, index: int) -> CuckooHashTable:
+        return CuckooHashTable(
+            capacity=self._per_shard,
+            slots_per_bucket=self._slots_per_bucket,
+            allow_grow=self._allow_grow,
+            seed=self._seed ^ (0x9E3779B9 * (index + 1)),
+        )
+
+    def reset(self) -> None:
+        """Back to the freshly-constructed state, keeping only the
+        shard-index memo.  Unlike :meth:`clear`, bucket geometry,
+        displacement order and grow counters restart too: a shard that
+        grew or displaced entries is rebuilt, any other one is emptied in
+        place (which leaves it identical to a new table, without
+        reallocating its buckets)."""
+        for i, shard in enumerate(self._shards):
+            if shard.grow_events or shard._kick_cursor:
+                self._shards[i] = self._new_shard(i)
+            elif len(shard):
+                shard.clear()
+        self._tenant_entries.clear()
+        self.quota_drops.clear()
+
     # -- key plumbing -------------------------------------------------------
 
     def shard_of(self, tenant_id: int, key: Hashable) -> int:
         """Deterministic shard index for a tenant-namespaced key."""
-        data = tenant_id.to_bytes(8, "big", signed=True) + _key_bytes(key)
-        return _fnv1a(data, self._seed) % self.num_shards
+        stored = (tenant_id, key)
+        shard = self._shard_memo.get(stored)
+        if shard is None:
+            data = tenant_id.to_bytes(8, "big", signed=True) + _key_bytes(key)
+            shard = _fnv1a(data, self._seed) % self.num_shards
+            self._shard_memo[stored] = shard
+        return shard
 
     @staticmethod
     def namespaced(tenant_id: int, key: Hashable) -> Tuple[int, Hashable]:
@@ -113,7 +140,21 @@ class ShardedStateMap:
         """
         stored = self.namespaced(tenant_id, key)
         shard = self._shards[self.shard_of(tenant_id, key)]
-        if shard.lookup(stored) is not None:
+        return self._store(shard, stored, value, tenant_id,
+                           shard.lookup(stored) is not None)
+
+    def increment(self, key: Hashable, tenant_id: int = 0) -> bool:
+        """``update(key, (lookup(key) or 0) + 1)`` with a single lookup:
+        count one more use of a per-flow counter entry."""
+        stored = self.namespaced(tenant_id, key)
+        shard = self._shards[self.shard_of(tenant_id, key)]
+        count = shard.lookup(stored)
+        return self._store(shard, stored, (count or 0) + 1, tenant_id,
+                           count is not None)
+
+    def _store(self, shard: CuckooHashTable, stored: Tuple[int, Hashable],
+               value: Any, tenant_id: int, present: bool) -> bool:
+        if present:
             shard.insert(stored, value)  # overwrite: no new residency
             return True
         if (

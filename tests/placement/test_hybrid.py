@@ -8,6 +8,7 @@ from repro.parallel import HybridEngine
 from repro.parallel.registry import TECHNIQUES, make_engine
 from repro.placement import PlacementSpec
 from repro.programs import make_program
+from repro.telemetry import EventTracer
 from repro.traffic import Trace
 
 
@@ -40,9 +41,13 @@ def test_registered_technique():
     assert "hybrid" in TECHNIQUES
 
 
-def test_columnar_ineligible():
-    # Steering mutates classifier state per packet: scalar loop only.
-    assert engine().columnar_eligible() is False
+def test_columnar_eligible():
+    # Steering replays a per-trace plan, so batched replay is exact...
+    assert engine().columnar_eligible() is True
+    # ...except with a tracer, where every packet steers live.
+    traced = make_engine("hybrid", make_program("ddos"), 4,
+                         tracer=EventTracer())
+    assert traced.columnar_eligible() is False
 
 
 def test_mice_pin_one_core_elephants_spray():

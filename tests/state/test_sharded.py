@@ -47,6 +47,14 @@ class TestQuota:
         assert m.lookup("c") is None
         assert m.quota_drops == {0: 1}
 
+    def test_increment_counts_under_quota(self):
+        m = ShardedStateMap(num_shards=2, capacity=64, tenant_quota=1)
+        assert m.increment("a") and m.increment("a")
+        assert m.lookup("a") == 2
+        assert not m.increment("b")  # new entry past the quota: refused
+        assert m.lookup("b") is None
+        assert m.quota_drops == {0: 1}
+
     def test_noisy_tenant_degrades_only_itself(self):
         m = ShardedStateMap(num_shards=2, capacity=64, tenant_quota=1)
         m.update("x", 1, tenant_id=0)
@@ -98,6 +106,22 @@ class TestSizing:
         assert len(m) == 0
         assert m.tenant_entries(0) == 0
         assert m.quota_drops == {}
+
+    @pytest.mark.parametrize("capacity", [2, 4096])
+    def test_reset_replays_like_a_fresh_map(self, capacity):
+        # Undersized shards grow and displace entries; reset must still
+        # reproduce a new map's behaviour exactly (geometry, grow count).
+        def fill(m):
+            resident = [m.update(f"k{i}", i, tenant_id=i % 3) for i in range(300)]
+            return resident, m.stats_snapshot(), list(m.items())
+
+        m = ShardedStateMap(num_shards=2, capacity=capacity, tenant_quota=90)
+        first = fill(m)
+        m.reset()
+        assert len(m) == 0 and m.grow_events == 0 and m.quota_drops == {}
+        assert fill(m) == first
+        assert first == fill(ShardedStateMap(num_shards=2, capacity=capacity,
+                                             tenant_quota=90))
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
