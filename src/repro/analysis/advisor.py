@@ -171,17 +171,15 @@ def eligible_techniques(facts: ProgramFacts) -> Tuple[str, ...]:
 
 
 def _scr_curve(costs: CostParams, cores: Sequence[int]) -> List[float]:
-    return [k * _NS_TO_MPPS / (costs.t + (k - 1) * costs.c2) for k in cores]
+    return [k * _NS_TO_MPPS / costs.scr_service_ns(k - 1) for k in cores]
 
 
 def _relaxed_curve(
     facts: ProgramFacts, costs: CostParams, cores: Sequence[int]
 ) -> Tuple[List[float], str]:
     if facts.all_commutative:
-        curve = [
-            k * _NS_TO_MPPS / (costs.t + min(k - 1, 1) * costs.c2)
-            for k in cores
-        ]
+        curve = [k * _NS_TO_MPPS / costs.scr_service_ns(min(k - 1, 1))
+                 for k in cores]
         return curve, (
             "all written fields commutative "
             f"({', '.join(f.field for f in facts.fields)}): history folds "
@@ -268,7 +266,7 @@ def _hybrid_curve(
                 1.0, max(1.0 / k, (workload.rss_share(k) - e) / (1.0 - e))
             )
         per_core = (
-            e / k * (costs.t + (k - 1) * costs.c2 + probe)
+            e / k * (costs.scr_service_ns(k - 1) + probe)
             + (1.0 - e) * mice_share * mice_cost
         )
         curve.append(_NS_TO_MPPS / per_core)

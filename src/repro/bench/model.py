@@ -28,8 +28,7 @@ def predicted_scr_pps(costs: CostParams, num_cores: int) -> float:
     """Predicted SCR packets/second for ``num_cores`` (Appendix A)."""
     if num_cores < 1:
         raise ValueError("need at least one core")
-    per_packet_ns = costs.t + (num_cores - 1) * costs.c2
-    return num_cores / per_packet_ns * 1e9
+    return num_cores / costs.scr_service_ns(num_cores - 1) * 1e9
 
 
 def predicted_scr_mpps(costs: CostParams, num_cores: int) -> float:

@@ -36,7 +36,8 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..nic.nic import ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES
+from ..nic.nic import (ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES, PCIE_DESCRIPTOR_BYTES,
+                       WIRE_SLACK_FRAMES)
 from ..telemetry.metrics import Histogram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -61,12 +62,6 @@ __all__ = [
 HOTPATH_ENV = "REPRO_HOTPATH"
 
 HOTPATH_MODES = ("scalar", "columnar")
-
-#: Mirrors of the admission constants in ``repro.cpu.simulator`` (kept
-#: there as the source of truth; re-importing them at call time would put
-#: the import in the hot path).
-_WIRE_SLACK_FRAMES = 64
-_PCIE_DESCRIPTOR_BYTES = 16
 
 
 def resolve_hotpath(explicit: Optional[str] = None) -> str:
@@ -289,7 +284,7 @@ def _run(
     wire_len = engine.wire_len_batch(trace)
     frame = np.maximum(wire_len, MIN_FRAME_BYTES) + ETHERNET_OVERHEAD_BYTES
     wt = (frame * 8) / line_rate_bps * 1e9
-    wire_slack_ns = float(wt[0]) * _WIRE_SLACK_FRAMES
+    wire_slack_ns = float(wt[0]) * WIRE_SLACK_FRAMES
     _, wire_free = _chain(now, wt)
     backlog = np.concatenate((np.zeros(1), wire_free[:-1])) - now
     if bool(np.any(backlog > wire_slack_ns)):
@@ -297,8 +292,8 @@ def _run(
 
     # Host interconnect: DMA payload + descriptor + completion traffic.
     dma_len = engine.dma_len_batch(trace)
-    dt = ((dma_len + _PCIE_DESCRIPTOR_BYTES) * 8) / pcie_rate_bps * 1e9
-    pcie_slack_ns = float(dt[0]) * _WIRE_SLACK_FRAMES
+    dt = ((dma_len + PCIE_DESCRIPTOR_BYTES) * 8) / pcie_rate_bps * 1e9
+    pcie_slack_ns = float(dt[0]) * WIRE_SLACK_FRAMES
     _, pcie_free = _chain(now, dt)
     backlog = np.concatenate((np.zeros(1), pcie_free[:-1])) - now
     if bool(np.any(backlog > pcie_slack_ns)):
@@ -420,27 +415,19 @@ def _resolve_history_prefix(
     packets on its core, so a short scalar walk resolves the order
     dependence the steady state is free of: pop event
     ``m = max(first arrival >= start, j+1)`` gives ``h = min(m-1, cap)``.
+    Every prefix row is priced at every depth ``0..cap`` in one call.
     """
-    n = len(now)
-    prefix = min(cap, n)
+    prefix = min(cap, len(now))
+    rows = np.repeat(np.arange(prefix, dtype=np.int64), cap + 1)
+    depths = np.tile(np.arange(cap + 1, dtype=np.int64), prefix)
+    services = engine.service_rows(trace, rows, miss_frac[rows], spill[rows],
+                                   depths).reshape(prefix, cap + 1).tolist()
     core_busy = [0.0] * engine.num_cores
-    row = np.empty(1, dtype=np.int64)
-    h_row = np.empty(1, dtype=np.int64)
     for j in range(prefix):
         core = int(cores[j])
         arrival = float(now[j])
         busy = core_busy[core]
         start = busy if busy > arrival else arrival
-        m = int(np.searchsorted(now, start, side="left"))
-        if m < j + 1:
-            m = j + 1
-        hj = m - 1
-        if hj > cap:
-            hj = cap
-        h[j] = hj
-        row[0] = j
-        h_row[0] = hj
-        service = engine.service_rows(
-            trace, row, miss_frac[j:j + 1], spill[j:j + 1], h_row
-        )
-        core_busy[core] = start + float(service[0])
+        m = max(int(np.searchsorted(now, start, side="left")), j + 1)
+        h[j] = hj = min(m - 1, cap)
+        core_busy[core] = start + services[j][hj]

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Protocol, Sequenc
 
 import numpy as np
 
-from ..nic.nic import ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES
+from ..nic.nic import (ETHERNET_OVERHEAD_BYTES, MIN_FRAME_BYTES, PCIE_DESCRIPTOR_BYTES,
+                       WIRE_SLACK_FRAMES)
 from ..nic.queues import DEFAULT_DESCRIPTORS
 from ..nic.rss import SYMMETRIC_RSS_KEY, hash_input_l4, toeplitz_hash, toeplitz_hash_batch
 from ..programs.base import PacketProgram
@@ -55,12 +56,6 @@ from ..traffic.trace import Trace
 from .counters import SystemCounters
 
 __all__ = ["PerfPacket", "PerfTrace", "PerfEngine", "SimResult", "simulate"]
-
-#: Frames of backlog the MAC will absorb before dropping on a saturated wire.
-_WIRE_SLACK_FRAMES = 64
-
-#: Per-packet descriptor + completion bytes across the host interconnect.
-_PCIE_DESCRIPTOR_BYTES = 16
 
 
 @dataclass(frozen=True)
@@ -295,16 +290,15 @@ class PerfEngine(Protocol):
     # sequencer appends history after the MAC (§4.2 PCIe overheads).  The
     # simulator falls back to ``wire_len`` when absent.
     #
-    # Engines may also opt into the columnar hot path by providing the
-    # batched row-math hooks (``columnar_eligible`` / ``wire_len_batch`` /
-    # ``dma_len_batch`` / ``steer_batch`` / ``service_rows`` /
-    # ``service_batch`` / ``commit_steer_batch`` / ``history_cap`` /
-    # ``state_access_batch``) —
-    # ``repro.parallel.base.BaseEngine`` carries conservative defaults,
-    # including a scalar ``service_batch`` shim that loops ``service_ns``,
-    # so subclasses only override what they can batch.  Engines without
-    # the hooks (or reporting ineligible) run on the scalar event loop
-    # below unchanged (see docs/HOTPATH.md).
+    # Engines may also opt into the columnar hot path through the batched
+    # hooks ``columnar_eligible`` / ``wire_len_batch`` / ``dma_len_batch``
+    # / ``steer_batch`` / ``commit_steer_batch`` / ``history_cap`` /
+    # ``state_access_batch`` / ``service_rows`` / ``service_batch``.
+    # ``repro.parallel.base.BaseEngine`` implements the last two once, over
+    # the engine's ``_service_cost`` formula (the one ``service_ns`` also
+    # evaluates), so an engine opts in with that formula, ``steer_batch``
+    # and ``columnar_eligible``.  Engines without the hooks (or reporting
+    # ineligible) run on the scalar event loop below (docs/HOTPATH.md).
 
     def steer(self, pp: PerfPacket) -> int:
         """RX queue / core index for this packet."""
@@ -627,7 +621,7 @@ def simulate(
         wl = engine.wire_len(pp)
         wt = _wire_time_ns(wl, line_rate_bps)
         if i == 0:
-            wire_slack_ns = wt * _WIRE_SLACK_FRAMES
+            wire_slack_ns = wt * WIRE_SLACK_FRAMES
         if wire_free - now > wire_slack_ns:
             wire_dropped += 1
             if tracing:
@@ -636,9 +630,9 @@ def simulate(
             continue
         wire_free = (wire_free if wire_free > now else now) + wt
         # Host interconnect: DMA payload + descriptor + completion traffic.
-        dt = (dma_len(pp) + _PCIE_DESCRIPTOR_BYTES) * 8 / pcie_rate_bps * 1e9
+        dt = (dma_len(pp) + PCIE_DESCRIPTOR_BYTES) * 8 / pcie_rate_bps * 1e9
         if i == 0:
-            pcie_slack_ns = dt * _WIRE_SLACK_FRAMES
+            pcie_slack_ns = dt * WIRE_SLACK_FRAMES
         if pcie_free - now > pcie_slack_ns:
             pcie_dropped += 1
             if tracing:

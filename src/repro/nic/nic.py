@@ -41,12 +41,17 @@ from .rss import (
     toeplitz_hash,
 )
 
-__all__ = ["SteeringMode", "Nic", "ETHERNET_OVERHEAD_BYTES", "MIN_FRAME_BYTES"]
+__all__ = ["SteeringMode", "Nic", "ETHERNET_OVERHEAD_BYTES", "MIN_FRAME_BYTES",
+           "WIRE_SLACK_FRAMES", "PCIE_DESCRIPTOR_BYTES"]
 
 #: Preamble (7) + SFD (1) + inter-frame gap (12) + FCS (4) per frame.
 ETHERNET_OVERHEAD_BYTES = 24
 #: Minimum Ethernet frame size excluding FCS.
 MIN_FRAME_BYTES = 60
+#: Frames of backlog the MAC will absorb before dropping on a saturated wire.
+WIRE_SLACK_FRAMES = 64
+#: Per-packet descriptor + completion bytes across the host interconnect.
+PCIE_DESCRIPTOR_BYTES = 16
 
 
 class SteeringMode(enum.Enum):

@@ -164,7 +164,8 @@ class RssIndirection:
         self.table: List[int] = [i % num_queues for i in range(table_size)]
 
     def shard_of(self, hash_value: int) -> int:
-        """The shard (table index) a hash value falls into."""
+        """The shard (table index) a hash value falls into (also
+        elementwise over a numpy column of hashes)."""
         return hash_value & (self.table_size - 1) if self._pow2() else hash_value % self.table_size
 
     def _pow2(self) -> bool:

@@ -10,7 +10,7 @@ parameters and the contention constants in ``repro.cpu.costmodel``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,31 +31,32 @@ from ..telemetry.events import NULL_TRACER, EventTracer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.simulator import PerfTrace
 
-__all__ = ["BaseEngine", "hash_for_program", "hash_column_for_program"]
+__all__ = ["BaseEngine", "hash_for_program", "INVALID", "VALID"]
+
+#: Service kinds every engine's cost formula knows: a packet the program
+#: does not parse (dispatch plus compute, no state) and a parsed one.
+#: Engines with several kinds of valid packet (hybrid) add their own.
+INVALID, VALID = range(2)
+
+#: One packet's cost: ``(total, compute, transfer, state_accesses,
+#: l2_misses, program, history)`` as Python floats or numpy columns.
+Cost = Tuple[Any, Any, Any, Any, Any, Any, Any]
 
 
-def hash_for_program(program: PacketProgram, pp: PerfPacket) -> int:
+def hash_for_program(program: PacketProgram, packets: Union[PerfPacket, "PerfTrace"]):
     """The RSS hash a NIC would use to shard this program correctly.
 
     Table 1's "RSS hash fields" column: IP-pair programs hash L3 only;
     5-tuple programs hash L4; bidirectional programs need the symmetric key
-    so both directions land on one core [70].
+    so both directions land on one core [70].  ``packets`` is one packet
+    (an int hash) or a whole trace (its uint32 hash column): both expose
+    the same ``hash_*`` names.
     """
     if program.bidirectional:
-        return pp.hash_sym
+        return packets.hash_sym
     if program.rss_fields == "src & dst IP":
-        return pp.hash_l3
-    return pp.hash_l4
-
-
-def hash_column_for_program(program: PacketProgram, trace: "PerfTrace") -> np.ndarray:
-    """Column twin of :func:`hash_for_program`: the whole trace's RSS
-    hashes under the program's configured hash fields."""
-    if program.bidirectional:
-        return trace.hash_sym
-    if program.rss_fields == "src & dst IP":
-        return trace.hash_l3
-    return trace.hash_l4
+        return packets.hash_l3
+    return packets.hash_l4
 
 
 class BaseEngine(ABC):
@@ -135,10 +136,35 @@ class BaseEngine(ABC):
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         ...
 
+    # The cost model: one formula per engine, two drivers. ---------------------
+
+    def _service_cost(self, kind: int, h, miss_frac, spill_ns) -> Cost:
+        """One packet's service time and counter charges as a :data:`Cost`.
+
+        Pure arithmetic over its inputs, so it evaluates identically on
+        Python floats (the scalar ``service_ns``) and on numpy columns of
+        rows of one ``kind`` (the batch hooks below) — the additions run
+        in the same order either way.  ``h`` is the history depth.
+        """
+        raise NotImplementedError(f"{self.name} has no cost formula")
+
+    def _charge(self, core: int, cost: Cost) -> float:
+        """Charge one packet's :data:`Cost` to ``core``; its service time."""
+        total, compute, transfer, accesses, misses, program, history = cost
+        # Positional (dispatch, compute, wait, transfer, ...): this runs
+        # once per scalar packet.
+        self.counters.cores[core].charge_packet(
+            self.costs.d, compute, 0.0, transfer, accesses, misses, program,
+            history)
+        return total
+
+    def _tally(self, kind: int, count: int) -> None:
+        """``count`` packets of ``kind`` were serviced (hybrid's
+        elephant/mice counters; nothing elsewhere)."""
+
     # Columnar hot-path hooks (see repro.cpu.columnar / docs/HOTPATH.md).
-    # Conservative defaults: an engine is ineligible until it opts in, and
-    # ``service_batch`` falls back to a scalar shim over ``service_ns`` so
-    # every technique keeps working unchanged when called in bursts.
+    # An engine is ineligible until it opts in with ``columnar_eligible``,
+    # a ``_service_cost`` formula and ``steer_batch``.
 
     def columnar_eligible(self) -> bool:
         """Can whole runs be replayed as batched row math?
@@ -177,6 +203,40 @@ class BaseEngine(ABC):
         techniques that carry no history)."""
         return 0
 
+    def _row_kinds(self, trace: "PerfTrace", rows: np.ndarray):
+        """``(kind, mask over rows)`` pairs covering every row once."""
+        valid = trace.valid[rows]
+        return (VALID, valid), (INVALID, ~valid)
+
+    def _kind_cost(self, trace: "PerfTrace", kind: int, rows: np.ndarray,
+                   h: np.ndarray, miss_frac: np.ndarray,
+                   spill_ns: np.ndarray) -> Cost:
+        """:meth:`_service_cost` over ``rows``, all of one ``kind``."""
+        return self._service_cost(kind, h, miss_frac, spill_ns)
+
+    def _batch_cost(self, trace: "PerfTrace", rows: np.ndarray, h: np.ndarray,
+                    miss_frac: np.ndarray, spill_ns: np.ndarray,
+                    kinds) -> List[np.ndarray]:
+        """The :data:`Cost` columns of ``rows``, one kind at a time."""
+        m = len(rows)
+        out: List[np.ndarray] = []
+        for kind, mask in kinds:
+            if mask.all():  # one kind covers every row: no gather, no scatter
+                cost = self._kind_cost(trace, kind, rows, h, miss_frac, spill_ns)
+                return [value if isinstance(value, np.ndarray)
+                        else np.full(m, value) for value in cost]
+            sel = np.flatnonzero(mask)
+            if not len(sel):
+                continue
+            if not out:
+                out = [np.zeros(m, dtype=np.float64) for _ in range(7)]
+                out[3] = np.zeros(m, dtype=np.int64)
+            cost = self._kind_cost(trace, kind, rows[sel], h[sel],
+                                   miss_frac[sel], spill_ns[sel])
+            for column, value in zip(out, cost):
+                column[sel] = value
+        return out
+
     def service_rows(
         self,
         trace: "PerfTrace",
@@ -187,7 +247,8 @@ class BaseEngine(ABC):
     ) -> np.ndarray:
         """Pure service times (ns) for ``rows``, given each row's L2
         outcome and history depth; charges nothing."""
-        raise NotImplementedError(f"{self.name} has no batched service math")
+        return self._batch_cost(trace, rows, history_items, miss_frac,
+                                spill_ns, self._row_kinds(trace, rows))[0]
 
     def service_batch(
         self,
@@ -201,13 +262,30 @@ class BaseEngine(ABC):
         packet's service time.  ``rows`` are trace indices in service
         order; ``steered_before`` is how many packets had been steered
         when each one reached its core (what SCR's history depth reads).
+        Commits the L2 model, so it runs once per freshly reset run."""
+        from ..cpu.columnar import l2_spill_rows
 
-        Default: a scalar shim over :meth:`service_ns`, so engines without
-        batched row math behave identically when driven in bursts.
-        """
-        records = trace.records
-        out = np.empty(len(rows), dtype=np.float64)
-        for i in range(len(rows)):
-            out[i] = self.service_ns(
-                int(cores[i]), records[int(rows[i])], float(start_ns[i]))
-        return out
+        miss_frac, spill = l2_spill_rows(
+            self.l2, trace, rows, cores, self.num_cores, commit=True,
+            touches=self.state_access_batch(trace))
+        h = np.minimum(np.maximum(steered_before - 1, 0), self.history_cap())
+        kinds = self._row_kinds(trace, rows)
+        total, compute, transfer, accesses, misses, program, history = (
+            self._batch_cost(trace, rows, h, miss_frac, spill, kinds))
+        dispatch = np.full(len(rows), self.costs.d, dtype=np.float64)
+        for core in range(self.num_cores):
+            sel = np.flatnonzero(cores == core)
+            if len(sel) == 0:
+                continue
+            self.counters.cores[core].charge_batch(
+                dispatch_ns=dispatch[sel],
+                compute_ns=compute[sel],
+                transfer_ns=transfer[sel],
+                state_accesses=accesses[sel],
+                l2_misses=misses[sel],
+                program_ns=program[sel],
+                history_ns=history[sel],
+            )
+        for kind, mask in kinds:
+            self._tally(kind, int(np.count_nonzero(mask)))
+        return total

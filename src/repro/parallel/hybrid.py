@@ -42,9 +42,10 @@ and every later MLFFR probe replays it instead of re-deciding:
   alone — they are mid-run).
 
 With a tracer enabled the plan is skipped and every packet steers live.
-The per-packet cost formula (:func:`_service_cost`) is written once and
-evaluated on Python floats by ``service_ns`` and on numpy columns by the
-batch hooks.  See docs/MULTITENANT.md and docs/HOTPATH.md.
+The per-packet cost formula (:meth:`HybridEngine._service_cost`) is
+written once and evaluated on Python floats by ``service_ns`` and on
+numpy columns by the shared batch driver in ``BaseEngine``.  See
+docs/MULTITENANT.md and docs/HOTPATH.md.
 """
 
 from __future__ import annotations
@@ -62,47 +63,20 @@ from ..placement.classifier import PROMOTE
 from ..state.cuckoo import _fnv1a, _key_bytes
 from ..state.sharded import ShardedStateMap
 from ..telemetry.events import EV_HISTORY_DEPTH, EV_SPRAY
-from .base import BaseEngine, hash_for_program
+from .base import INVALID, VALID, BaseEngine, Cost, hash_for_program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cpu.costmodel import CostParams
     from ..cpu.simulator import PerfTrace
 
 __all__ = ["HybridEngine", "SteeringPlan"]
 
-#: Service kinds of a valid packet (see :func:`_service_cost`).
-_ELEPHANT, _MOUSE, _STATELESS = range(3)
+#: Service kinds of a valid packet, beside the base ``INVALID`` (see
+#: :meth:`HybridEngine._service_cost`).
+_ELEPHANT, _MOUSE, _STATELESS = range(VALID + 1, VALID + 4)
 
 #: One packet's steering decision: (core, elephant, history depth,
 #: stateless, migration ns charged to it, placement events it fired).
 _Decision = Tuple[int, bool, int, bool, float, int]
-
-
-def _service_cost(c: "CostParams", classify_ns: float, kind: int, h,
-                  migration_ns, miss_frac, spill_ns):
-    """A valid packet's service time and counter charges, by kind.
-
-    Pure arithmetic, so it evaluates identically on Python floats (the
-    scalar ``service_ns``) and on numpy columns of one kind (the batch
-    hooks) — the additions happen in the same order either way.  Returns
-    ``(total, compute, transfer, state_accesses, l2_misses, program,
-    history)``.  Every kind pays one sketch update (``classify_ns``) and
-    its migration charge; stateless mice never touch state or L2.
-    """
-    if kind == _ELEPHANT:
-        history = h * c.c2
-        compute = (c.c1 + history) + classify_ns
-        charged = compute + spill_ns
-        total = ((c.d + compute) + spill_ns) + migration_ns
-        return (total, charged, migration_ns, 1,
-                miss_frac + (migration_ns != 0), charged + migration_ns, history)
-    if kind == _MOUSE:
-        compute = (c.c1 + classify_ns) + spill_ns
-        return ((c.d + compute) + migration_ns, compute, migration_ns, 1,
-                miss_frac + (migration_ns != 0), compute + migration_ns, 0.0)
-    compute = c.c1 + classify_ns
-    return ((c.d + compute) + migration_ns, compute, migration_ns, 0,
-            0.0, compute + migration_ns, 0.0)
 
 
 @dataclass(frozen=True)
@@ -413,45 +387,59 @@ class HybridEngine(BaseEngine):
         self._route.pop(pp.index, None)
         self._migration_ns.pop(pp.index, None)
 
-    def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
+    def _service_cost(self, kind: int, h, miss_frac, spill_ns,
+                      migration_ns=0.0) -> Cost:
+        """Every valid kind pays one sketch update (an uncontended atomic)
+        and its migration charge; stateless mice never touch state or
+        L2."""
         c = self.costs
-        counters = self.counters.cores[core]
+        if kind == INVALID:
+            return c.d + c.c1, c.c1, 0.0, 0, 0.0, c.c1, 0.0
+        classify_ns = self.contention.atomic_ns
+        if kind == _ELEPHANT:
+            history = h * c.c2
+            compute = (c.c1 + history) + classify_ns
+            charged = compute + spill_ns
+            total = ((c.d + compute) + spill_ns) + migration_ns
+            return (total, charged, migration_ns, 1,
+                    miss_frac + (migration_ns != 0), charged + migration_ns,
+                    history)
+        if kind == _MOUSE:
+            compute = (c.c1 + classify_ns) + spill_ns
+            return ((c.d + compute) + migration_ns, compute, migration_ns, 1,
+                    miss_frac + (migration_ns != 0), compute + migration_ns,
+                    0.0)
+        compute = c.c1 + classify_ns
+        return ((c.d + compute) + migration_ns, compute, migration_ns, 0,
+                0.0, compute + migration_ns, 0.0)
+
+    def _tally(self, kind: int, count: int) -> None:
+        if kind == _ELEPHANT:
+            self.elephant_packets += count
+        elif kind != INVALID:
+            self.mice_packets += count
+            if kind == _STATELESS:
+                self.stateless_packets += count
+
+    def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         if not pp.valid:
-            counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1,
-                                   state_accesses=0)
-            return c.d + c.c1
+            return self._charge(core, self._service_cost(INVALID, 0, 0.0, 0.0))
         elephant, h, stateless = self._route.pop(
             pp.index, (False, 0, False)
         )
         migration_ns = self._migration_ns.pop(pp.index, 0.0)
         if elephant:
             kind = _ELEPHANT
-            self.elephant_packets += 1
             if self.tracer.enabled:
                 self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core,
                                  depth=h)
-        elif stateless:
-            kind = _STATELESS
-            self.mice_packets += 1
-            self.stateless_packets += 1
         else:
-            kind = _MOUSE
-            self.mice_packets += 1
+            kind = _STATELESS if stateless else _MOUSE
+        self._tally(kind, 1)
         miss_frac, spill = ((0.0, 0.0) if kind == _STATELESS
                             else self.l2.access(core, pp.key))
-        total, compute, transfer, accesses, misses, program, history = (
-            _service_cost(c, self.contention.atomic_ns, kind, h,
-                          migration_ns, miss_frac, spill))
-        counters.charge_packet(
-            dispatch_ns=c.d,
-            compute_ns=compute,
-            transfer_ns=transfer,
-            state_accesses=accesses,
-            l2_misses=misses,
-            program_ns=program,
-            history_ns=history,
-        )
-        return total
+        return self._charge(core, self._service_cost(
+            kind, h, miss_frac, spill, migration_ns))
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------
 
@@ -477,89 +465,25 @@ class HybridEngine(BaseEngine):
         return trace.valid & ~self._plan_for(trace).stateless
 
     def _row_kinds(self, trace: "PerfTrace", rows: np.ndarray):
-        """``(kind, mask over rows)`` for each service kind; invalid rows
-        are in no mask."""
         plan = self._plan_for(trace)
         valid = trace.valid[rows]
         elephant = plan.elephant[rows]
         stateless = plan.stateless[rows]
         return (
+            (INVALID, ~valid),
             (_ELEPHANT, valid & elephant),
             (_MOUSE, valid & ~elephant & ~stateless),
             (_STATELESS, valid & ~elephant & stateless),
         )
 
-    def _batch_cost(self, trace: "PerfTrace", rows: np.ndarray,
-                    miss_frac: np.ndarray, spill_ns: np.ndarray, kinds):
-        """:func:`_service_cost` over ``rows``, one kind at a time;
-        invalid rows cost dispatch plus ``c1`` like in ``service_ns``."""
-        c = self.costs
+    def _kind_cost(self, trace: "PerfTrace", kind: int, rows: np.ndarray,
+                   h: np.ndarray, miss_frac: np.ndarray,
+                   spill_ns: np.ndarray) -> Cost:
+        """History depth and migration charge were fixed at steer time:
+        both come from the plan, not the driver."""
         plan = self._plan_for(trace)
-        m = len(rows)
-        total = np.full(m, c.d + c.c1, dtype=np.float64)
-        compute = np.full(m, c.c1, dtype=np.float64)
-        program = compute.copy()
-        transfer = np.zeros(m, dtype=np.float64)
-        misses = np.zeros(m, dtype=np.float64)
-        history = np.zeros(m, dtype=np.float64)
-        accesses = np.zeros(m, dtype=np.int64)
-        for kind, mask in kinds:
-            sel = np.flatnonzero(mask)
-            if not len(sel):
-                continue
-            r = rows[sel]
-            (total[sel], compute[sel], transfer[sel], accesses[sel],
-             misses[sel], program[sel], history[sel]) = _service_cost(
-                c, self.contention.atomic_ns, kind, plan.h[r],
-                plan.migration_ns[r], miss_frac[sel], spill_ns[sel])
-        return total, compute, transfer, accesses, misses, program, history
-
-    def service_rows(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-    ) -> np.ndarray:
-        return self._batch_cost(trace, rows, miss_frac, spill_ns,
-                                self._row_kinds(trace, rows))[0]
-
-    def service_batch(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
-    ) -> np.ndarray:
-        from ..cpu.columnar import l2_spill_rows
-
-        miss_frac, spill = l2_spill_rows(
-            self.l2, trace, rows, cores, self.num_cores, commit=True,
-            touches=self.state_access_batch(trace))
-        kinds = self._row_kinds(trace, rows)
-        total, compute, transfer, accesses, misses, program, history = (
-            self._batch_cost(trace, rows, miss_frac, spill, kinds))
-        dispatch = np.full(len(rows), self.costs.d, dtype=np.float64)
-        for core in range(self.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            self.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch[sel],
-                compute_ns=compute[sel],
-                transfer_ns=transfer[sel],
-                state_accesses=accesses[sel],
-                l2_misses=misses[sel],
-                program_ns=program[sel],
-                history_ns=history[sel],
-            )
-        counts = [int(np.count_nonzero(mask)) for _, mask in kinds]
-        self.elephant_packets += counts[0]
-        self.mice_packets += counts[1] + counts[2]
-        self.stateless_packets += counts[2]
-        return total
+        return self._service_cost(kind, plan.h[rows], miss_frac, spill_ns,
+                                  plan.migration_ns[rows])
 
     def placement_summary(self) -> dict:
         """Placement/quota counters for ``SimResult.placement_stats``

@@ -52,15 +52,9 @@ class RelaxedScrEngine(ScrEngine):
                 dummy_eth=self.codec.dummy_eth,
             )
 
-    def _history_items(self) -> int:
-        h = super()._history_items()
-        if self.relaxed:
-            return min(h, 1)
-        return h
-
     def history_cap(self) -> int:
-        """One merged delta when relaxed — the columnar hot path clamps
-        the batched history depth exactly like :meth:`_history_items`."""
+        """One merged delta when relaxed (the clamp both hot paths
+        apply to the history depth)."""
         cap = super().history_cap()
         if self.relaxed:
             return min(cap, 1)

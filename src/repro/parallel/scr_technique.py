@@ -19,7 +19,8 @@ no bouncing.  What SCR pays instead:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from ..telemetry.events import (
     EV_RESYNC,
     EV_SPRAY,
 )
-from .base import BaseEngine
+from .base import INVALID, VALID, BaseEngine, Cost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.simulator import PerfTrace
@@ -132,24 +133,29 @@ class ScrEngine(BaseEngine):
         """Can this core count's history ride inside a fixed frame size?"""
         return self.codec.overhead_bytes <= frame_bytes
 
+    @cached_property
+    def _prefix_bytes(self) -> Tuple[int, int]:
+        """Sequencer prefix bytes every frame gains: (wire, host
+        interconnect).
+
+        The prefix rides the wire when ``count_wire_overhead`` says so.
+        With a ToR-switch sequencer the wire and PCIe see the same frame;
+        with a NIC-resident sequencer (``dummy_eth=False``) the history is
+        appended *after* the MAC, so PCIe carries it even when the wire
+        does not — the §4.2 PCIe-transaction overhead.  First read after
+        construction, so it sees a subclass's codec (relaxed SCR's).
+        """
+        overhead = self.codec.overhead_bytes
+        wire = overhead if self.count_wire_overhead else 0
+        dma = overhead if self.count_wire_overhead or not self.codec.dummy_eth else 0
+        return wire, dma
+
     def wire_len(self, pp: PerfPacket) -> int:
-        if not self.count_wire_overhead:
-            return pp.wire_len
-        return pp.wire_len + self.codec.overhead_bytes
+        return pp.wire_len + self._prefix_bytes[0]
 
     def dma_len(self, pp: PerfPacket) -> int:
-        """Bytes crossing the host interconnect per packet.
-
-        With a ToR-switch sequencer the wire and PCIe see the same frame.
-        With a NIC-resident sequencer (``dummy_eth=False``) the history is
-        appended *after* the MAC, so PCIe carries it even when the wire
-        does not — the §4.2 PCIe-transaction overhead.
-        """
-        if self.count_wire_overhead:
-            return self.wire_len(pp)
-        if not self.codec.dummy_eth:  # NIC-resident sequencer
-            return pp.wire_len + self.codec.overhead_bytes
-        return pp.wire_len
+        """Bytes crossing the host interconnect per packet."""
+        return pp.wire_len + self._prefix_bytes[1]
 
     def steer(self, pp: PerfPacket) -> int:
         self._seq += 1
@@ -189,8 +195,9 @@ class ScrEngine(BaseEngine):
         }
 
     def _history_items(self) -> int:
-        """Fast-forward work per packet: k-1 in steady state, fewer early."""
-        return min(max(self._seq - 1, 0), self.num_cores - 1)
+        """Fast-forward work per packet: the cap in steady state, fewer
+        early."""
+        return min(max(self._seq - 1, 0), self.history_cap())
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -201,16 +208,10 @@ class ScrEngine(BaseEngine):
         return self.loss_rate == 0.0
 
     def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
-        if not self.count_wire_overhead:
-            return trace.wire_lens
-        return trace.wire_lens + self.codec.overhead_bytes
+        return trace.wire_lens + self._prefix_bytes[0]
 
     def dma_len_batch(self, trace: "PerfTrace") -> np.ndarray:
-        if self.count_wire_overhead:
-            return self.wire_len_batch(trace)
-        if not self.codec.dummy_eth:  # NIC-resident sequencer
-            return trace.wire_lens + self.codec.overhead_bytes
-        return trace.wire_lens
+        return trace.wire_lens + self._prefix_bytes[1]
 
     def steer_batch(self, trace: "PerfTrace") -> np.ndarray:
         """Round-robin spraying as pure row math (state advances in
@@ -225,82 +226,61 @@ class ScrEngine(BaseEngine):
     def history_cap(self) -> int:
         return self.num_cores - 1
 
-    def service_rows(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-    ) -> np.ndarray:
-        """Batched history fast-forward: the Appendix A row math
-        ``d + c1 + h·c2 (+ spill + log)`` over whole arrays, adding floats
-        in the exact order :meth:`service_ns` does."""
+    def _service_cost(self, kind: int, h, miss_frac, spill_ns,
+                      loss_ns: float = 0.0, gap_ns: float = 0.0,
+                      recovery_ns: float = 0.0,
+                      recovery_misses: float = 0.0) -> Cost:
+        """The Appendix A row math ``d + c1 + h·c2 (+ spill + log)``.
+
+        The scalar-only recovery terms default to zero and are skipped
+        then: ``loss_ns`` (catch-up over injected losses, charged as log
+        work), ``gap_ns`` (fault-gap fast-forward or resync replay),
+        ``recovery_ns`` (cross-core probes and checkpoint fetches) and
+        ``recovery_misses``.
+        """
         c = self.costs
         extra = self.extra_compute_ns
-        history = history_items * (c.c2 + extra)
-        compute = (c.c1 + extra) + history
-        total = (c.d + compute) + spill_ns
-        if self.with_recovery:
-            total = total + (history_items + 1) * self.contention.log_write_ns
-        return np.where(trace.valid[rows], total, c.d + c.c1 + extra)
-
-    def service_batch(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
-    ) -> np.ndarray:
-        from ..cpu.columnar import l2_spill_rows
-
-        c = self.costs
-        extra = self.extra_compute_ns
-        h = np.minimum(np.maximum(steered_before - 1, 0), self.history_cap())
-        miss_frac, spill = l2_spill_rows(
-            self.l2, trace, rows, cores, self.num_cores, commit=True)
-        services = self.service_rows(trace, rows, miss_frac, spill, h)
-        valid = trace.valid[rows]
+        if kind == INVALID:
+            compute = c.c1 + extra
+            return c.d + compute, compute, 0.0, 0, 0.0, compute, 0.0
         history = h * (c.c2 + extra)
-        charge = ((c.c1 + extra) + history) + spill
+        compute = (c.c1 + extra) + history
+        if loss_ns:
+            history += loss_ns
+        if gap_ns:
+            compute += gap_ns
+            history += gap_ns
+        total = (c.d + compute) + spill_ns
+        charged = compute + spill_ns
         if self.with_recovery:
-            charge = charge + (h + 1) * self.contention.log_write_ns
-        compute_col = np.where(valid, charge, c.c1 + extra)
-        history_col = np.where(valid, history, 0.0)
-        dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
-        accesses = valid.astype(np.int64)
-        for core in range(self.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            self.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch_col[sel],
-                compute_ns=compute_col[sel],
-                state_accesses=accesses[sel],
-                l2_misses=miss_frac[sel],
-                program_ns=compute_col[sel],
-                history_ns=history_col[sel],
-            )
-        return services
+            # Logging the h history items plus the packet's own entry.
+            log_ns = (h + 1) * self.contention.log_write_ns
+            if loss_ns:
+                log_ns += loss_ns
+            total = total + log_ns
+            charged = charged + log_ns
+        program = charged
+        if recovery_ns:
+            total += recovery_ns
+            program = charged + recovery_ns
+        if recovery_misses:
+            miss_frac += recovery_misses
+        return total, charged, recovery_ns, 1, miss_frac, program, history
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
-        c = self.costs
-        counters = self.counters.cores[core]
-        extra = self.extra_compute_ns
         if not pp.valid:
-            counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1 + extra, state_accesses=0)
-            return c.d + c.c1 + extra
+            return self._charge(core, self._service_cost(INVALID, 0, 0.0, 0.0))
+        c = self.costs
+        extra = self.extra_compute_ns
         h = self._history_items()
         if self.tracer.enabled:
             self.tracer.emit(EV_HISTORY_DEPTH, ts_ns=start_ns, core=core, depth=h)
-        history = h * (c.c2 + extra)
-        compute = (c.c1 + extra) + history
         spans = self.spans
         pp_sampled = spans.enabled and spans.sampled(pp.index)
         if pp_sampled:
             # Observational only: span timestamps re-derive the cost model's
             # own intervals, they never feed back into service time.
+            history = h * (c.c2 + extra)
             spans.emit("history_ff", pp.index, ts_ns=start_ns + c.d,
                        dur_ns=history, core=core, depth=h)
             spans.emit("transition", pp.index,
@@ -309,27 +289,19 @@ class ScrEngine(BaseEngine):
         # Every core holds every flow, so spill is judged against the full
         # (replicated) working set.
         miss_frac, spill = self.l2.access(core, pp.key)
-        log_ns = 0.0
-        recovery_transfer_ns = 0.0
-        recovery_misses = 0.0
-        if self.with_recovery:
-            # Logging the h history items plus the packet's own entry.
-            log_ns = (h + 1) * self.contention.log_write_ns
-            lost = self._pending_lost[core]
-            if lost:
-                if self.tracer.enabled:
-                    self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns, core=core,
-                                     length=lost)
-                # Reading another core's log line (a cross-core transfer per
-                # probe) and fast-forwarding through each recovered sequence.
-                probes = 1 + (self.num_cores - 1) / 2
-                recovery_transfer_ns = lost * probes * self.contention.recovery_probe_ns
-                catchup = lost * (c.c2 + extra)
-                log_ns += catchup
-                # Catch-up transitions are fast-forward work too.
-                history += catchup
-                recovery_misses = float(lost)
-                self._pending_lost[core] = 0
+        loss_ns = gap_ns = recovery_ns = recovery_misses = 0.0
+        lost = self._pending_lost[core]
+        if lost and self.with_recovery:
+            if self.tracer.enabled:
+                self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns, core=core,
+                                 length=lost)
+            # Reading another core's log line (a cross-core transfer per
+            # probe) and fast-forwarding through each recovered sequence.
+            probes = 1 + (self.num_cores - 1) / 2
+            recovery_ns = lost * probes * self.contention.recovery_probe_ns
+            loss_ns = lost * (c.c2 + extra)
+            recovery_misses = float(lost)
+            self._pending_lost[core] = 0
         gap = self._fault_gap[core]
         if gap:
             hp = self.hostprof
@@ -355,7 +327,7 @@ class ScrEngine(BaseEngine):
                 self.resyncs += 1
                 replay = missed + self.fault_epoch_len // 2
                 catchup = replay * (c.c2 + extra)
-                recovery_transfer_ns += self.contention.checkpoint_fetch_ns
+                recovery_ns += self.contention.checkpoint_fetch_ns
                 recovery_misses += 1.0  # the restored snapshot is cold
                 self.resync_replayed += replay
                 fetch = self.contention.checkpoint_fetch_ns
@@ -374,20 +346,11 @@ class ScrEngine(BaseEngine):
                                dur_ns=catchup, core=core, replayed=replay)
                     spans.emit("resync", pp.index,
                                ts_ns=start_ns + fetch + catchup, core=core)
-            compute += catchup
-            history += catchup
+            gap_ns = catchup
             if hp.enabled:
                 # Wall cost of gap-recovery fast-forward/resync modeling
-                # (steady-state history replay is pure arithmetic above).
+                # (steady-state history replay is pure arithmetic).
                 hp.charge("scr.history_ff", hp_t0)
-        total = c.d + compute + spill + log_ns + recovery_transfer_ns
-        counters.charge_packet(
-            dispatch_ns=c.d,
-            compute_ns=compute + spill + log_ns,
-            transfer_ns=recovery_transfer_ns,
-            state_accesses=1,
-            l2_misses=miss_frac + recovery_misses,
-            program_ns=compute + spill + log_ns + recovery_transfer_ns,
-            history_ns=history,
-        )
-        return total
+        return self._charge(core, self._service_cost(
+            VALID, h, miss_frac, spill, loss_ns, gap_ns, recovery_ns,
+            recovery_misses))

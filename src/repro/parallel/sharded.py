@@ -21,7 +21,7 @@ import numpy as np
 
 from ..cpu.simulator import PerfPacket
 from ..nic.rss import RssIndirection
-from .base import BaseEngine, hash_column_for_program, hash_for_program
+from .base import INVALID, VALID, BaseEngine, Cost, hash_for_program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cpu.simulator import PerfTrace
@@ -47,21 +47,19 @@ class ShardedRssEngine(BaseEngine):
     def steer(self, pp: PerfPacket) -> int:
         return self.indirection.queue_of(hash_for_program(self.program, pp))
 
-    def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
+    def _service_cost(self, kind: int, h, miss_frac, spill_ns) -> Cost:
+        """Dispatch plus one compute pass over core-local state."""
         c = self.costs
-        counters = self.counters.cores[core]
+        if kind == INVALID:
+            return c.d + c.c1, c.c1, 0.0, 0, 0.0, c.c1, 0.0
+        compute = c.c1 + spill_ns
+        return (c.d + c.c1) + spill_ns, compute, 0.0, 1, miss_frac, compute, 0.0
+
+    def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         if not pp.valid:
-            counters.charge_packet(dispatch_ns=c.d, compute_ns=c.c1, state_accesses=0)
-            return c.d + c.c1
+            return self._charge(core, self._service_cost(INVALID, 0, 0.0, 0.0))
         miss_frac, spill = self.l2.access(core, pp.key)
-        counters.charge_packet(
-            dispatch_ns=c.d,
-            compute_ns=c.c1 + spill,
-            state_accesses=1,
-            l2_misses=miss_frac,
-            program_ns=c.c1 + spill,
-        )
-        return c.d + c.c1 + spill
+        return self._charge(core, self._service_cost(VALID, 0, miss_frac, spill))
 
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
@@ -71,56 +69,9 @@ class ShardedRssEngine(BaseEngine):
         return True
 
     def steer_batch(self, trace: "PerfTrace") -> np.ndarray:
-        hashes = hash_column_for_program(self.program, trace)
-        size = self.indirection.table_size
-        if size & (size - 1) == 0:
-            shards = hashes & np.uint32(size - 1)
-        else:
-            shards = hashes % np.uint32(size)
         table = np.asarray(self.indirection.table, dtype=np.int64)
-        return table[shards]
-
-    def service_rows(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        miss_frac: np.ndarray,
-        spill_ns: np.ndarray,
-        history_items: np.ndarray,
-    ) -> np.ndarray:
-        c = self.costs
-        return np.where(trace.valid[rows], (c.d + c.c1) + spill_ns, c.d + c.c1)
-
-    def service_batch(
-        self,
-        trace: "PerfTrace",
-        rows: np.ndarray,
-        cores: np.ndarray,
-        start_ns: np.ndarray,
-        steered_before: np.ndarray,
-    ) -> np.ndarray:
-        from ..cpu.columnar import l2_spill_rows
-
-        c = self.costs
-        miss_frac, spill = l2_spill_rows(
-            self.l2, trace, rows, cores, self.num_cores, commit=True)
-        services = self.service_rows(trace, rows, miss_frac, spill, steered_before)
-        valid = trace.valid[rows]
-        compute_col = np.where(valid, c.c1 + spill, c.c1)
-        dispatch_col = np.full(len(rows), c.d, dtype=np.float64)
-        accesses = valid.astype(np.int64)
-        for core in range(self.num_cores):
-            sel = np.flatnonzero(cores == core)
-            if len(sel) == 0:
-                continue
-            self.counters.cores[core].charge_batch(
-                dispatch_ns=dispatch_col[sel],
-                compute_ns=compute_col[sel],
-                state_accesses=accesses[sel],
-                l2_misses=miss_frac[sel],
-                program_ns=compute_col[sel],
-            )
-        return services
+        return table[self.indirection.shard_of(
+            hash_for_program(self.program, trace))]
 
 
 class RssPlusPlusEngine(ShardedRssEngine):

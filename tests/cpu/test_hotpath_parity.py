@@ -14,7 +14,7 @@ import pytest
 from repro.cpu import PerfTrace, simulate
 from repro.cpu.columnar import resolve_hotpath, use_hotpath
 from repro.faults import FaultPlan, FaultSpec
-from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, make_engine
+from repro.parallel import COLUMNAR_TECHNIQUES, TECHNIQUES, BaseEngine, make_engine
 from repro.programs import make_program, program_names
 from repro.scenario import Scenario, ScenarioExecutor, build_perf_trace, scenario_grid
 from repro.telemetry import EventTracer
@@ -147,6 +147,30 @@ class TestVariantParity:
     def test_single_core(self, traces):
         scalar, columnar = _run_pair(
             traces["conntrack"], "scr", cores=1, collect_latency=True)
+        _assert_deep_equal(scalar, columnar)
+
+    @pytest.mark.parametrize("program, technique, engine_kw", [
+        ("ddos", "scr", dict(extra_compute_ns=25.0)),
+        ("conntrack", "scr", dict(count_wire_overhead=False, dummy_eth=False)),
+        ("ddos", "relaxed_scr", dict(with_recovery=True)),
+    ], ids=["scr-extra-compute", "scr-nic-sequencer", "relaxed-scr-recovery"])
+    def test_cost_formula_variants(self, traces, monkeypatch, program,
+                                   technique, engine_kw):
+        """Knobs that reach the cost formula or the frame bytes: the Fig. 9
+        compute inflation, a NIC-resident sequencer (DMA bytes > wire
+        bytes), relaxed history with recovery logging.  The columnar run
+        must commit (not fall back) and match the oracle bit for bit."""
+        commits = []
+        service_batch = BaseEngine.service_batch
+
+        def counting(self, *args):
+            commits.append(self.name)
+            return service_batch(self, *args)
+
+        monkeypatch.setattr(BaseEngine, "service_batch", counting)
+        scalar, columnar = _run_pair(traces[program], technique,
+                                     engine_kw=engine_kw, collect_latency=True)
+        assert commits == [technique]
         _assert_deep_equal(scalar, columnar)
 
 

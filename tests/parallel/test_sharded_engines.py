@@ -36,10 +36,12 @@ def test_distinct_flows_spread():
 
 
 def test_hash_choice_follows_table1():
-    pp = trace_of({1: 1}).records[0]
-    assert hash_for_program(make_program("ddos"), pp) == pp.hash_l3
-    assert hash_for_program(make_program("heavy_hitter"), pp) == pp.hash_l4
-    assert hash_for_program(make_program("conntrack"), pp) == pp.hash_sym
+    trace = trace_of({1: 1})
+    # One packet gives its hash, a whole trace its hash column.
+    for packets in (trace.records[0], trace):
+        assert hash_for_program(make_program("ddos"), packets) is packets.hash_l3
+        assert hash_for_program(make_program("heavy_hitter"), packets) is packets.hash_l4
+        assert hash_for_program(make_program("conntrack"), packets) is packets.hash_sym
 
 
 def test_elephant_limits_total_throughput():
