@@ -79,12 +79,13 @@ report:
 	PYTHONPATH=src python -m repro.cli report results/telemetry-demo \
 		results/bench/BENCH_fig6_scaling.json --out results/report.html
 
-# Columnar hot path: the bit-exact parity gate against the scalar oracle,
-# then the hotpath bench suite vs its committed baseline (the speedup
-# must stay won — see docs/HOTPATH.md).
+# Columnar hot path: the bit-exact parity gate against the scalar oracle
+# (plus the fault suites: drop-only fault runs are columnar too), then
+# the hotpath bench suite vs its committed baseline (the speedup must
+# stay won — see docs/HOTPATH.md).
 hotpath:
 	PYTHONPATH=src python -m pytest -x -q tests/cpu/test_hotpath_parity.py \
-		tests/nic/test_rss.py
+		tests/nic/test_rss.py tests/cpu/test_simulator_faults.py tests/faults
 	PYTHONPATH=src python -m repro.cli bench --suite hotpath \
 		--out results/bench-hotpath
 	PYTHONPATH=src python -m repro.cli bench \

@@ -293,11 +293,14 @@ class PerfEngine(Protocol):
     # Engines may also opt into the columnar hot path through the batched
     # hooks ``columnar_eligible`` / ``wire_len_batch`` / ``dma_len_batch``
     # / ``steer_batch`` / ``commit_steer_batch`` / ``history_cap`` /
-    # ``state_access_batch`` / ``service_rows`` / ``service_batch``.
-    # ``repro.parallel.base.BaseEngine`` implements the last two once, over
-    # the engine's ``_service_cost`` formula (the one ``service_ns`` also
-    # evaluates), so an engine opts in with that formula, ``steer_batch``
-    # and ``columnar_eligible``.  Engines without the hooks (or reporting
+    # ``state_access_batch`` / ``service_rows`` / ``service_batch``, plus
+    # the stolen-row hooks ``loss_batch`` / ``pending_service`` /
+    # ``commit_stolen`` for engines that inject loss or catch up on it.
+    # ``repro.parallel.base.BaseEngine`` implements ``service_rows`` and
+    # ``service_batch`` once, over the engine's ``_service_cost`` formula
+    # (the one ``service_ns`` also evaluates), and defaults the rest, so
+    # an engine opts in with that formula, ``steer_batch`` and
+    # ``columnar_eligible``.  Engines without the hooks (or reporting
     # ineligible) run on the scalar event loop below (docs/HOTPATH.md).
 
     def steer(self, pp: PerfPacket) -> int:
@@ -465,7 +468,8 @@ def simulate(
     ``hotpath`` picks the execution strategy (``scalar`` | ``columnar``;
     default: the ``REPRO_HOTPATH`` env var, else columnar).  The columnar
     driver is bit-identical to the scalar loop and silently falls back to
-    it whenever a run needs per-event fidelity (drops, faults, tracing).
+    it whenever a run needs per-event fidelity (ring or wire drops, faults
+    other than wire→ring drops, tracing).
     """
     if rate_pps <= 0:
         raise ValueError("rate must be positive")

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .spec import FaultSpec
 
 __all__ = ["FaultPlan"]
@@ -51,13 +53,29 @@ def _unit(seed: int, tag: int, index: int) -> float:
     return (h >> 11) / float(1 << 53)
 
 
+def _splitmix64_batch(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a uint64 column (numpy wraps mod 2**64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _unit_batch(seed: int, tag: int, count: int) -> np.ndarray:
+    """:func:`_unit` for indices ``0..count-1``, bit for bit."""
+    h = _splitmix64((seed & _MASK64) ^ (tag * 0xA24BAED4963EE407 & _MASK64))
+    z = _splitmix64_batch(np.arange(count, dtype=np.uint64) ^ np.uint64(h))
+    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+
+
 class FaultPlan:
     """Order-independent fault decisions for one :class:`FaultSpec`.
 
     Stateless by design: every method is a pure function of the spec and
     its arguments, so one plan can be shared (or rebuilt) freely across
     the NIC model, the event simulator, and the functional harness and
-    still describe one single schedule.
+    still describe one single schedule.  (The only thing a plan keeps is
+    a memo of :meth:`drop_column`, which is itself such a function.)
     """
 
     def __init__(self, spec: FaultSpec) -> None:
@@ -76,10 +94,25 @@ class FaultPlan:
         for core, from_index in spec.core_kills:
             prev = self._kills.get(core)
             self._kills[core] = from_index if prev is None else min(prev, from_index)
+        self._drop_columns: Dict[int, np.ndarray] = {}
 
     @property
     def any_faults(self) -> bool:
         return self.spec.any_faults
+
+    @property
+    def drops_only(self) -> bool:
+        """Are wire→ring drops the only faults the simulator acts on?
+
+        History truncation is sequencer-only, so it does not count; any
+        pop-drop, duplicate, reorder, stall or kill does.
+        """
+        s = self.spec
+        return not (
+            s.pop_drop_rate or s.pop_drop_indices or s.duplicate_rate
+            or s.duplicate_indices or s.reorder_rate or s.reorder_indices
+            or s.core_stalls or s.core_kills
+        )
 
     # -- per-packet decisions (0-based arrival index) -------------------------
 
@@ -89,6 +122,22 @@ class FaultPlan:
             return True
         rate = self.spec.drop_rate
         return bool(rate) and _unit(self.spec.seed, _TAG_DROP, index) < rate
+
+    def drop_column(self, num_packets: int) -> np.ndarray:
+        """:meth:`drops` for packets ``0..num_packets-1`` as a read-only
+        bool column.  Memoized: the schedule is rate-independent, so every
+        MLFFR probe of a search reuses one column."""
+        column = self._drop_columns.get(num_packets)
+        if column is None:
+            rate = self.spec.drop_rate
+            if rate:
+                column = _unit_batch(self.spec.seed, _TAG_DROP, num_packets) < rate
+            else:
+                column = np.zeros(num_packets, dtype=bool)
+            column[[i for i in self._drop_ix if 0 <= i < num_packets]] = True
+            column.flags.writeable = False
+            self._drop_columns[num_packets] = column
+        return column
 
     def pop_drops(self, index: int) -> bool:
         """Is packet ``index`` discarded at the ring-pop (after dispatch)?"""

@@ -63,6 +63,11 @@ class BaseEngine(ABC):
     """Shared state for the per-technique engines."""
 
     name = "base"
+    #: Does a stolen row — a steered packet that never reached its ring
+    #: (injected loss, fault drop) — cost the core's next delivery?  SCR's
+    #: per-core replicas catch up on it (:meth:`pending_service`); for
+    #: every other technique a stolen packet is just a lost packet.
+    catches_up = False
 
     def __init__(
         self,
@@ -203,6 +208,29 @@ class BaseEngine(ABC):
         techniques that carry no history)."""
         return 0
 
+    def loss_batch(self, trace: "PerfTrace",
+                   fault_dropped: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """Rows the engine's own loss injection (``pre_enqueue``) steals,
+        as a bool column, given the rows a fault plan drops before it;
+        ``None`` when the engine injects no loss.  Pure: state advances
+        in :meth:`commit_stolen`."""
+        return None
+
+    def pending_service(self, h: int, miss_frac: float, spill_ns: float,
+                        lost: int, gap: int) -> Tuple[float, Tuple[float, ...]]:
+        """``(service_ns, recovery)`` of a delivery that consumes ``lost``
+        injected losses and ``gap`` fault drops queued on its core, where
+        ``recovery`` is the extra terms :meth:`_service_cost` takes.  Only
+        called when :attr:`catches_up`."""
+        raise NotImplementedError(f"{self.name} does not catch up on stolen rows")
+
+    def commit_stolen(self, consumers, pending_lost: List[int],
+                      fault_gap: List[int]) -> None:
+        """Commit a columnar run's stolen rows: ``consumers`` lists ``(h,
+        lost, gap)`` per consuming delivery in service order, and
+        ``pending_lost`` / ``fault_gap`` what each core still owes at the
+        end."""
+
     def _row_kinds(self, trace: "PerfTrace", rows: np.ndarray):
         """``(kind, mask over rows)`` pairs covering every row once."""
         valid = trace.valid[rows]
@@ -210,19 +238,24 @@ class BaseEngine(ABC):
 
     def _kind_cost(self, trace: "PerfTrace", kind: int, rows: np.ndarray,
                    h: np.ndarray, miss_frac: np.ndarray,
-                   spill_ns: np.ndarray) -> Cost:
+                   spill_ns: np.ndarray, recovery=None) -> Cost:
         """:meth:`_service_cost` over ``rows``, all of one ``kind``."""
-        return self._service_cost(kind, h, miss_frac, spill_ns)
+        if recovery is None:
+            return self._service_cost(kind, h, miss_frac, spill_ns)
+        return self._service_cost(kind, h, miss_frac, spill_ns, recovery)
 
     def _batch_cost(self, trace: "PerfTrace", rows: np.ndarray, h: np.ndarray,
                     miss_frac: np.ndarray, spill_ns: np.ndarray,
-                    kinds) -> List[np.ndarray]:
-        """The :data:`Cost` columns of ``rows``, one kind at a time."""
+                    kinds, recovery=None) -> List[np.ndarray]:
+        """The :data:`Cost` columns of ``rows``, one kind at a time
+        (``recovery``: optional columns over ``rows``, see
+        :meth:`service_batch`)."""
         m = len(rows)
         out: List[np.ndarray] = []
         for kind, mask in kinds:
             if mask.all():  # one kind covers every row: no gather, no scatter
-                cost = self._kind_cost(trace, kind, rows, h, miss_frac, spill_ns)
+                cost = self._kind_cost(trace, kind, rows, h, miss_frac, spill_ns,
+                                       recovery)
                 return [value if isinstance(value, np.ndarray)
                         else np.full(m, value) for value in cost]
             sel = np.flatnonzero(mask)
@@ -231,8 +264,9 @@ class BaseEngine(ABC):
             if not out:
                 out = [np.zeros(m, dtype=np.float64) for _ in range(7)]
                 out[3] = np.zeros(m, dtype=np.int64)
-            cost = self._kind_cost(trace, kind, rows[sel], h[sel],
-                                   miss_frac[sel], spill_ns[sel])
+            cost = self._kind_cost(
+                trace, kind, rows[sel], h[sel], miss_frac[sel], spill_ns[sel],
+                None if recovery is None else [col[sel] for col in recovery])
             for column, value in zip(out, cost):
                 column[sel] = value
         return out
@@ -257,11 +291,14 @@ class BaseEngine(ABC):
         cores: np.ndarray,
         start_ns: np.ndarray,
         steered_before: np.ndarray,
+        recovery=None,
     ) -> np.ndarray:
         """Service a burst of packets and charge counters, returning each
         packet's service time.  ``rows`` are trace indices in service
         order; ``steered_before`` is how many packets had been steered
-        when each one reached its core (what SCR's history depth reads).
+        when each one reached its core (what SCR's history depth reads);
+        ``recovery``, when given, holds the extra :meth:`_service_cost`
+        terms per row (zeros for rows that consume no stolen row).
         Commits the L2 model, so it runs once per freshly reset run."""
         from ..cpu.columnar import l2_spill_rows
 
@@ -271,7 +308,7 @@ class BaseEngine(ABC):
         h = np.minimum(np.maximum(steered_before - 1, 0), self.history_cap())
         kinds = self._row_kinds(trace, rows)
         total, compute, transfer, accesses, misses, program, history = (
-            self._batch_cost(trace, rows, h, miss_frac, spill, kinds))
+            self._batch_cost(trace, rows, h, miss_frac, spill, kinds, recovery))
         dispatch = np.full(len(rows), self.costs.d, dtype=np.float64)
         for core in range(self.num_cores):
             sel = np.flatnonzero(cores == core)

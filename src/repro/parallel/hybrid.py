@@ -478,9 +478,10 @@ class HybridEngine(BaseEngine):
 
     def _kind_cost(self, trace: "PerfTrace", kind: int, rows: np.ndarray,
                    h: np.ndarray, miss_frac: np.ndarray,
-                   spill_ns: np.ndarray) -> Cost:
+                   spill_ns: np.ndarray, recovery=None) -> Cost:
         """History depth and migration charge were fixed at steer time:
-        both come from the plan, not the driver."""
+        both come from the plan, not the caller.  ``recovery`` is never
+        given: hybrid does not catch up on stolen rows."""
         plan = self._plan_for(trace)
         return self._service_cost(kind, plan.h[rows], miss_frac, spill_ns,
                                   plan.migration_ns[rows])

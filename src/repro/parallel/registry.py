@@ -21,9 +21,9 @@ __all__ = ["TECHNIQUES", "COLUMNAR_TECHNIQUES", "make_engine", "technique_names"
 TECHNIQUES = ("scr", "relaxed_scr", "shared", "rss", "rss++", "hybrid")
 
 #: Techniques whose engines can opt into the columnar hot path
-#: (``columnar_eligible`` may still say no at runtime, e.g. SCR with loss
-#: injection or hybrid with a tracer): scr / relaxed_scr (pure
-#: round-robin row math), rss (static indirection-table gather) and
+#: (``columnar_eligible`` may still say no at runtime, e.g. hybrid with a
+#: tracer): scr / relaxed_scr (pure round-robin row math; engine loss
+#: draws become stolen rows), rss (static indirection-table gather) and
 #: hybrid (a per-trace steering plan replayed as columns).  ``shared``
 #: engines serialize on time-dependent contention and ``rss++`` mutates
 #: its steering table mid-run, so both always run the scalar event loop

@@ -46,6 +46,7 @@ class ScrEngine(BaseEngine):
     """Performance model of state-compute replication across cores."""
 
     name = "scr"
+    catches_up = True
 
     def __init__(
         self,
@@ -111,6 +112,9 @@ class ScrEngine(BaseEngine):
         self.resyncs = 0
         self.resync_replayed = 0
         self.resync_ns_total = 0.0
+        #: memo of :meth:`loss_batch`: (key, fault column, loss column,
+        #: losses, rng state after the draws).
+        self._loss_memo = None
 
     def reset(self) -> None:
         super().reset()
@@ -202,10 +206,13 @@ class ScrEngine(BaseEngine):
     # -- columnar hot-path hooks (docs/HOTPATH.md) --------------------------------
 
     def columnar_eligible(self) -> bool:
-        """Batched replay is exact unless loss injection draws from the RNG
-        (injected losses change which packets reach the rings); recovery
-        *logging* alone is pure row math and stays eligible."""
-        return self.loss_rate == 0.0
+        """Batched replay is exact, loss injection included: the losses
+        are drawn up front (:meth:`loss_batch`) and, like fault drops,
+        become stolen rows whose recovery the next delivery on their core
+        pays (:meth:`pending_service`).  Only an engine drawing losses it
+        never recovers (``loss_rate`` set after construction without
+        ``with_recovery``) stays on the event loop."""
+        return self.with_recovery or not self.loss_rate
 
     def wire_len_batch(self, trace: "PerfTrace") -> np.ndarray:
         return trace.wire_lens + self._prefix_bytes[0]
@@ -226,17 +233,71 @@ class ScrEngine(BaseEngine):
     def history_cap(self) -> int:
         return self.num_cores - 1
 
+    def loss_batch(self, trace: "PerfTrace",
+                   fault_dropped: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        """The rows :meth:`pre_enqueue` loses, as a bool column.
+
+        Drawn from a fresh ``random.Random(seed)`` — the state
+        :meth:`reset` leaves — one draw per row that reaches
+        ``pre_enqueue`` (fault-dropped rows never do), in index order.
+        Pure: ``_rng`` advances in :meth:`commit_stolen`.  The draws do
+        not depend on the rate, so the column is memoized per trace
+        length and fault column.
+        """
+        if not self.loss_rate:
+            return None
+        n = len(trace)
+        key = (n, self.seed, self.loss_rate)
+        memo = self._loss_memo
+        if memo is not None and memo[0] == key and memo[1] is fault_dropped:
+            return memo[2]
+        rng = random.Random(self.seed)
+        draws = n if fault_dropped is None else n - int(np.count_nonzero(fault_dropped))
+        hits = np.array([rng.random() for _ in range(draws)]) < self.loss_rate
+        if fault_dropped is None:
+            lost = hits
+        else:
+            lost = np.zeros(n, dtype=bool)
+            lost[~fault_dropped] = hits
+        self._loss_memo = (key, fault_dropped, lost, int(np.count_nonzero(lost)),
+                           rng.getstate())
+        return lost
+
+    def pending_service(self, h: int, miss_frac: float, spill_ns: float,
+                        lost: int, gap: int):
+        """Service time of a valid delivery that finds ``lost`` injected
+        losses and ``gap`` fault drops queued on its core, and the
+        ``recovery`` terms it pays (python floats, as in
+        :meth:`service_ns`)."""
+        recovery = self._recovery_cost(h, lost, gap)[0]
+        return self._service_cost(VALID, h, miss_frac, spill_ns, recovery)[0], recovery
+
+    def commit_stolen(self, consumers, pending_lost, fault_gap) -> None:
+        """Commit a columnar run's stolen rows: the loss draws of the last
+        :meth:`loss_batch`, the gap recoveries of ``consumers`` (``(h,
+        lost, gap)`` per consuming delivery, in service order) and the
+        per-core counts nobody consumed."""
+        if self.loss_rate:
+            self.injected += self._loss_memo[3]
+            self._rng.setstate(self._loss_memo[4])
+        for h, lost, gap in consumers:
+            if gap:
+                recovery, _, replay = self._recovery_cost(h, lost, gap)
+                self._book_gap(recovery[1], replay)
+        self._pending_lost = pending_lost
+        self._fault_gap = fault_gap
+
     def _service_cost(self, kind: int, h, miss_frac, spill_ns,
-                      loss_ns: float = 0.0, gap_ns: float = 0.0,
-                      recovery_ns: float = 0.0,
-                      recovery_misses: float = 0.0) -> Cost:
+                      recovery=None) -> Cost:
         """The Appendix A row math ``d + c1 + h·c2 (+ spill + log)``.
 
-        The scalar-only recovery terms default to zero and are skipped
-        then: ``loss_ns`` (catch-up over injected losses, charged as log
-        work), ``gap_ns`` (fault-gap fast-forward or resync replay),
-        ``recovery_ns`` (cross-core probes and checkpoint fetches) and
-        ``recovery_misses``.
+        ``recovery`` is ``None`` or the four terms of
+        :meth:`_recovery_cost` — ``(loss_ns, gap_ns, recovery_ns,
+        recovery_misses)``, floats or columns: catch-up over injected
+        losses (charged as log work), fault-gap fast-forward or resync
+        replay, cross-core probes and checkpoint fetches, and the extra
+        L2 misses.  The terms are non-negative, so a row that owes
+        nothing adds exact zeros and stays bit-identical.
         """
         c = self.costs
         extra = self.extra_compute_ns
@@ -245,27 +306,70 @@ class ScrEngine(BaseEngine):
             return c.d + compute, compute, 0.0, 0, 0.0, compute, 0.0
         history = h * (c.c2 + extra)
         compute = (c.c1 + extra) + history
-        if loss_ns:
-            history += loss_ns
-        if gap_ns:
-            compute += gap_ns
-            history += gap_ns
+        if recovery is not None:
+            loss_ns, gap_ns, recovery_ns, recovery_misses = recovery
+            history = (history + loss_ns) + gap_ns
+            compute = compute + gap_ns
         total = (c.d + compute) + spill_ns
         charged = compute + spill_ns
         if self.with_recovery:
             # Logging the h history items plus the packet's own entry.
             log_ns = (h + 1) * self.contention.log_write_ns
-            if loss_ns:
-                log_ns += loss_ns
+            if recovery is not None:
+                log_ns = log_ns + loss_ns
             total = total + log_ns
             charged = charged + log_ns
-        program = charged
-        if recovery_ns:
-            total += recovery_ns
-            program = charged + recovery_ns
-        if recovery_misses:
-            miss_frac += recovery_misses
-        return total, charged, recovery_ns, 1, miss_frac, program, history
+        if recovery is None:
+            return total, charged, 0.0, 1, miss_frac, charged, history
+        return (total + recovery_ns, charged, recovery_ns, 1,
+                miss_frac + recovery_misses, charged + recovery_ns, history)
+
+    def _recovery_cost(self, h: int, lost: int, gap: int):
+        """What a delivery at history depth ``h`` owes for ``lost``
+        injected losses and ``gap`` fault drops queued ahead of it on its
+        core: the four ``recovery`` terms of :meth:`_service_cost`, then
+        the gap's ``missed`` sequences and its resync ``replay`` (0 when
+        the history window still covers the gap)."""
+        c = self.costs
+        c2 = c.c2 + self.extra_compute_ns
+        loss_ns = gap_ns = recovery_ns = recovery_misses = 0.0
+        missed = replay = 0
+        if lost:
+            # Reading another core's log line (a cross-core transfer per
+            # probe) and fast-forwarding through each recovered sequence.
+            probes = 1 + (self.num_cores - 1) / 2
+            recovery_ns = lost * probes * self.contention.recovery_probe_ns
+            loss_ns = lost * c2
+            recovery_misses = float(lost)
+        if gap:
+            # Round-robin spraying turns ``gap`` stolen packets into
+            # (gap+1)*k - 1 sequences the replica must account for.
+            missed = (gap + 1) * self.num_cores - 1
+            if missed <= self.num_slots:
+                # A widened history window (num_slots > k) still covers
+                # the hole: extra fast-forward items beyond the natural h.
+                gap_ns = (missed - h) * c2
+            else:
+                # Quarantine: fetch the sequencer's newest epoch
+                # checkpoint and replay, on average, half an epoch of
+                # logged metadata on top of the missed sequences.
+                replay = missed + self.fault_epoch_len // 2
+                gap_ns = replay * c2
+                recovery_ns += self.contention.checkpoint_fetch_ns
+                recovery_misses += 1.0  # the restored snapshot is cold
+        return (loss_ns, gap_ns, recovery_ns, recovery_misses), missed, replay
+
+    def _book_gap(self, gap_ns: float, replay: int) -> None:
+        """Count one delivery's fault-gap recovery (``replay`` as returned
+        by :meth:`_recovery_cost`)."""
+        self.fault_gaps += 1
+        if not replay:
+            self.fault_gaps_covered += 1
+            return
+        self.quarantines += 1
+        self.resyncs += 1
+        self.resync_replayed += replay
+        self.resync_ns_total += gap_ns + self.contention.checkpoint_fetch_ns
 
     def service_ns(self, core: int, pp: PerfPacket, start_ns: float) -> float:
         if not pp.valid:
@@ -289,49 +393,29 @@ class ScrEngine(BaseEngine):
         # Every core holds every flow, so spill is judged against the full
         # (replicated) working set.
         miss_frac, spill = self.l2.access(core, pp.key)
-        loss_ns = gap_ns = recovery_ns = recovery_misses = 0.0
-        lost = self._pending_lost[core]
-        if lost and self.with_recovery:
+        lost = self._pending_lost[core] if self.with_recovery else 0
+        gap = self._fault_gap[core]
+        if not (lost or gap):
+            return self._charge(core, self._service_cost(
+                VALID, h, miss_frac, spill))
+        hp = self.hostprof
+        hp_t0 = hp.now() if gap and hp.enabled else 0
+        recovery, missed, replay = self._recovery_cost(h, lost, gap)
+        if lost:
+            self._pending_lost[core] = 0
             if self.tracer.enabled:
                 self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns, core=core,
                                  length=lost)
-            # Reading another core's log line (a cross-core transfer per
-            # probe) and fast-forwarding through each recovered sequence.
-            probes = 1 + (self.num_cores - 1) / 2
-            recovery_ns = lost * probes * self.contention.recovery_probe_ns
-            loss_ns = lost * (c.c2 + extra)
-            recovery_misses = float(lost)
-            self._pending_lost[core] = 0
-        gap = self._fault_gap[core]
         if gap:
-            hp = self.hostprof
-            hp_t0 = hp.now() if hp.enabled else 0
             self._fault_gap[core] = 0
-            self.fault_gaps += 1
-            # Round-robin spraying turns ``gap`` stolen packets into
-            # (gap+1)*k - 1 sequences the replica must account for.
-            missed = (gap + 1) * self.num_cores - 1
-            if missed <= self.num_slots:
-                # A widened history window (num_slots > k) still covers
-                # the hole: extra fast-forward items beyond the natural h.
-                self.fault_gaps_covered += 1
-                catchup = (missed - h) * (c.c2 + extra)
+            catchup = recovery[1]
+            self._book_gap(catchup, replay)
+            if not replay:
                 if self.tracer.enabled:
                     self.tracer.emit(EV_FAST_FORWARD, ts_ns=start_ns,
                                      core=core, length=missed - h)
             else:
-                # Quarantine: fetch the sequencer's newest epoch
-                # checkpoint and replay, on average, half an epoch of
-                # logged metadata on top of the missed sequences.
-                self.quarantines += 1
-                self.resyncs += 1
-                replay = missed + self.fault_epoch_len // 2
-                catchup = replay * (c.c2 + extra)
-                recovery_ns += self.contention.checkpoint_fetch_ns
-                recovery_misses += 1.0  # the restored snapshot is cold
-                self.resync_replayed += replay
                 fetch = self.contention.checkpoint_fetch_ns
-                self.resync_ns_total += catchup + fetch
                 if self.tracer.enabled:
                     self.tracer.emit(EV_QUARANTINE, ts_ns=start_ns,
                                      core=core, gap=gap, missed=missed)
@@ -346,11 +430,9 @@ class ScrEngine(BaseEngine):
                                dur_ns=catchup, core=core, replayed=replay)
                     spans.emit("resync", pp.index,
                                ts_ns=start_ns + fetch + catchup, core=core)
-            gap_ns = catchup
             if hp.enabled:
                 # Wall cost of gap-recovery fast-forward/resync modeling
                 # (steady-state history replay is pure arithmetic).
                 hp.charge("scr.history_ff", hp_t0)
         return self._charge(core, self._service_cost(
-            VALID, h, miss_frac, spill, loss_ns, gap_ns, recovery_ns,
-            recovery_misses))
+            VALID, h, miss_frac, spill, recovery))

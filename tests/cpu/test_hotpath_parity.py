@@ -66,6 +66,20 @@ def _assert_deep_equal(a, b, path=""):
     _assert_deep_equal(_state_of(a), _state_of(b), path)
 
 
+def _count_commits(monkeypatch):
+    """Record the engine name of every columnar commit (the batch
+    service call only a committing columnar run makes)."""
+    commits = []
+    service_batch = BaseEngine.service_batch
+
+    def counting(self, *args, **kwargs):
+        commits.append(self.name)
+        return service_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(BaseEngine, "service_batch", counting)
+    return commits
+
+
 def _run_pair(trace, technique, cores=4, rate=_UNDERLOAD_PPS, engine_kw=None,
               **sim_kw):
     program = make_program(trace.program_name)
@@ -160,14 +174,7 @@ class TestVariantParity:
         compute inflation, a NIC-resident sequencer (DMA bytes > wire
         bytes), relaxed history with recovery logging.  The columnar run
         must commit (not fall back) and match the oracle bit for bit."""
-        commits = []
-        service_batch = BaseEngine.service_batch
-
-        def counting(self, *args):
-            commits.append(self.name)
-            return service_batch(self, *args)
-
-        monkeypatch.setattr(BaseEngine, "service_batch", counting)
+        commits = _count_commits(monkeypatch)
         scalar, columnar = _run_pair(traces[program], technique,
                                      engine_kw=engine_kw, collect_latency=True)
         assert commits == [technique]
@@ -176,8 +183,9 @@ class TestVariantParity:
 
 class TestFallbackPaths:
     def test_faults_fall_back_and_match(self, traces):
-        """A fault plan forces the scalar loop; both modes must agree
-        (they run the same code) and report fault stats."""
+        """A faulted run reports fault stats and matches the oracle.  (A
+        drop-only plan like this one now commits on the columnar path;
+        the other fault kinds still fall back — see TestStolenRows.)"""
         plan_kw = dict(faults=FaultPlan(FaultSpec.create(seed=3, drop_rate=0.05)))
         scalar, columnar = _run_pair(traces["ddos"], "scr",
                                      collect_latency=True, **plan_kw)
@@ -207,11 +215,13 @@ class TestFallbackPaths:
         assert scalar.wire_dropped + scalar.ring_dropped > 0
         _assert_deep_equal(scalar, columnar)
 
-    def test_loss_rate_disqualifies_scr(self, traces):
+    def test_loss_rate_scr_matches_scalar(self, traces, monkeypatch):
+        commits = _count_commits(monkeypatch)
         scalar, columnar = _run_pair(
             traces["ddos"], "scr",
             engine_kw=dict(loss_rate=0.01, with_recovery=True))
         _assert_deep_equal(scalar, columnar)
+        assert commits == ["scr"]
 
 
 class TestMlffrParity:
@@ -227,6 +237,175 @@ class TestMlffrParity:
                 results.append(find_mlffr(traces["ddos"], engine))
         assert results[0].mlffr_pps == results[1].mlffr_pps
         assert results[0].probes == results[1].probes
+
+    @pytest.mark.parametrize("engine_kw, spec", [
+        (dict(with_recovery=True, loss_rate=0.01), None),
+        (dict(with_recovery=True), dict(seed=3, drop_rate=0.01)),
+    ], ids=["scr-loss", "scr-drop-plan"])
+    def test_search_under_loss_identical(self, long_traces, engine_kw, spec):
+        """Searches whose probes take stolen rows on the columnar path."""
+        from repro.bench.mlffr import find_mlffr
+
+        trace = long_traces["port_knocking"]
+        program = make_program("port_knocking")
+        results = []
+        for mode in ("scalar", "columnar"):
+            engine = make_engine("scr", program, 4, seed=5, **engine_kw)
+            plan = FaultPlan(FaultSpec.create(**spec)) if spec else None
+            with use_hotpath(mode):
+                results.append(find_mlffr(trace, engine, faults=plan,
+                                          collect_latency=True))
+        assert results[0].mlffr_pps == results[1].mlffr_pps
+        assert results[0].probes == results[1].probes
+        _assert_deep_equal(results[0].result_at_mlffr,
+                           results[1].result_at_mlffr)
+
+
+#: Stolen rows (engine loss draws, drop-only fault plans) on a trace
+#: long enough for rings to back up and gaps to pile up behind a busy
+#: core: 1200 packets of port_knocking (strict SCR) and ddos (relaxed
+#: SCR prunes its history to one merged delta).
+_STOLEN_PROGRAMS = {"scr": "port_knocking", "relaxed_scr": "ddos"}
+
+
+@pytest.fixture(scope="module")
+def long_traces():
+    return {
+        program: build_perf_trace(Scenario.create(
+            program, "univ_dc", "scr", 1, num_flows=40, max_packets=1200,
+            seed=5))
+        for program in ("port_knocking", "ddos")
+    }
+
+
+@pytest.fixture(scope="module")
+def saturation_pps(long_traces):
+    """Each (technique, cores) pair's MLFFR at 1 % loss on its long
+    trace, where the rings hold a backlog and losses wait longest."""
+    from repro.bench.mlffr import find_mlffr
+
+    out = {}
+    for technique, program in _STOLEN_PROGRAMS.items():
+        for cores in (1, 2, 4, 8):
+            engine = make_engine(technique, make_program(program), cores,
+                                 with_recovery=True, loss_rate=0.01)
+            out[technique, cores] = find_mlffr(long_traces[program],
+                                               engine).mlffr_pps
+    return out
+
+
+def _engine_state(engine):
+    """Recovery state a columnar commit writes back, plus the RNG
+    position (its next draw)."""
+    return (engine.fault_summary(), engine.injected,
+            list(engine._pending_lost), list(engine._fault_gap),
+            engine._rng.random())
+
+
+def _stolen_pair(trace, technique, cores, rate, engine_kw, faults=None):
+    program = make_program(trace.program_name)
+    out = []
+    for mode in ("scalar", "columnar"):
+        engine = make_engine(technique, program, cores, **engine_kw)
+        with use_hotpath(mode):
+            result = simulate(trace, rate, engine, faults=faults,
+                              collect_latency=True)
+        out.append((result, engine))
+    return out
+
+
+class TestStolenRows:
+    """Engine ``loss_rate`` draws and drop-only fault plans run on the
+    columnar path as stolen rows: steered, never enqueued, charged to the
+    next delivery on their core.  Results *and* the engine's recovery
+    state must match the oracle."""
+
+    @pytest.mark.parametrize("technique", ["scr", "relaxed_scr"])
+    @pytest.mark.parametrize("loss", [0.001, 0.01, 0.2])
+    @pytest.mark.parametrize("cores", [1, 2, 4, 8])
+    @pytest.mark.parametrize("load", ["under", "saturated"])
+    def test_engine_loss(self, long_traces, saturation_pps, monkeypatch,
+                         technique, loss, cores, load):
+        trace = long_traces[_STOLEN_PROGRAMS[technique]]
+        rate = (_UNDERLOAD_PPS if load == "under"
+                else 0.95 * saturation_pps[technique, cores])
+        commits = _count_commits(monkeypatch)
+        (scalar, s_engine), (columnar, c_engine) = _stolen_pair(
+            trace, technique, cores, rate,
+            dict(with_recovery=True, loss_rate=loss, seed=11))
+        assert commits == [technique]
+        assert scalar.injected_lost > 0
+        _assert_deep_equal(scalar, columnar)
+        assert _engine_state(s_engine) == _engine_state(c_engine)
+
+    @pytest.mark.parametrize("cores, spec, engine_kw", [
+        (4, dict(drop_rate=0.02), {}),
+        (4, dict(drop_rate=0.3), {}),
+        (4, dict(drop_indices=[0, 1, 2, 3, 600, 1199]), {}),
+        (4, dict(drop_rate=0.02), dict(num_slots=12)),
+        (1, dict(drop_rate=0.02), {}),
+        (4, dict(drop_rate=0.02), dict(with_recovery=True, loss_rate=0.01)),
+        (2, dict(drop_rate=0.01, truncate_rate=0.5), dict(with_recovery=True)),
+    ], ids=["rate", "heavy", "indices", "covered", "one-core",
+            "with-loss", "truncation"])
+    @pytest.mark.parametrize("load", ["under", "saturated"])
+    def test_drop_only_plans(self, long_traces, saturation_pps, monkeypatch,
+                             cores, spec, engine_kw, load):
+        """Rate drops (light, and heavy enough for gaps of many sizes),
+        explicit drops (first and last packet included), gaps a widened
+        window covers, one core, engine loss on top, and a sequencer-only
+        truncation riding along."""
+        trace = long_traces["port_knocking"]
+        rate = (_UNDERLOAD_PPS if load == "under"
+                else 0.95 * saturation_pps["scr", cores])
+        plan = FaultPlan(FaultSpec.create(seed=3, **spec))
+        commits = _count_commits(monkeypatch)
+        (scalar, s_engine), (columnar, c_engine) = _stolen_pair(
+            trace, "scr", cores, rate, dict(engine_kw, seed=11), plan)
+        assert commits == ["scr"]
+        assert scalar.fault_stats["fault_dropped"] > 0
+        _assert_deep_equal(scalar.fault_stats, columnar.fault_stats)
+        _assert_deep_equal(scalar, columnar)
+        assert _engine_state(s_engine) == _engine_state(c_engine)
+        if engine_kw.get("num_slots"):
+            assert columnar.fault_stats["fault_gaps_covered"] > 0
+
+    @pytest.mark.parametrize("technique", ["rss", "hybrid"])
+    def test_drop_only_plans_other_techniques(self, long_traces, monkeypatch,
+                                              technique):
+        """Without per-core replicas a stolen row is just lost."""
+        plan = FaultPlan(FaultSpec.create(seed=3, drop_rate=0.05))
+        commits = _count_commits(monkeypatch)
+        scalar, columnar = _run_pair(long_traces["ddos"], technique,
+                                     collect_latency=True, faults=plan)
+        assert commits == [technique]
+        assert columnar.fault_stats["fault_dropped"] > 0
+        _assert_deep_equal(scalar, columnar)
+
+    def test_drop_column_matches_scalar_decisions(self):
+        plan = FaultPlan(FaultSpec.create(seed=2**70 + 3, drop_rate=0.2,
+                                          drop_indices=[0, 5, 4999, 7000]))
+        column = plan.drop_column(5000)
+        assert column.tolist() == [plan.drops(i) for i in range(5000)]
+        assert plan.drop_column(5000) is column  # memoized per length
+
+    @pytest.mark.parametrize("spec", [
+        dict(pop_drop_rate=0.02),
+        dict(duplicate_rate=0.02),
+        dict(reorder_rate=0.05),
+        dict(drop_rate=0.02, core_stalls=[(1, 100, 5_000.0)]),
+        dict(drop_rate=0.02, core_kills=[(2, 700)]),
+    ], ids=["pop-drop", "duplicate", "reorder", "stall", "kill"])
+    def test_other_fault_kinds_fall_back(self, long_traces, monkeypatch,
+                                         spec):
+        plan = FaultPlan(FaultSpec.create(seed=3, **spec))
+        commits = _count_commits(monkeypatch)
+        (scalar, s_engine), (columnar, c_engine) = _stolen_pair(
+            long_traces["port_knocking"], "scr", 4, _UNDERLOAD_PPS,
+            dict(with_recovery=True, loss_rate=0.01, seed=11), plan)
+        assert commits == []
+        _assert_deep_equal(scalar, columnar)
+        assert _engine_state(s_engine) == _engine_state(c_engine)
 
 
 class TestExecutorParity:
